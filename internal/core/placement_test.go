@@ -182,6 +182,95 @@ func TestSerialCommitMidMigrationStaleBatch(t *testing.T) {
 	}
 }
 
+// TestHandoffAfterResolveIsNacked lands a stripe handoff right after a lock
+// request resolved its placement — the window a concurrent DTM node can hit
+// on the live backend — on each request path: read lock, eager write lock
+// and lazy commit batch. The request must carry the pre-handoff epoch, so
+// the old owner skips its current-epoch fast path, takes the authoritative
+// ValidFor check and NACKs; the retry reaches the new owner and the
+// transaction commits. Were the epoch read after the owner, the request
+// would pair the old owner with the new epoch and be granted on a stripe
+// that node no longer owns.
+func TestHandoffAfterResolveIsNacked(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		acquire AcquireMode
+		read    bool
+	}{
+		{"read-lock", Lazy, true},
+		{"eager-write", Eager, false},
+		{"commit-batch", Lazy, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := NewSystem(Config{
+				Platform:         noc.SCC(0),
+				Seed:             1,
+				TotalCores:       4, // two application cores, two DTM nodes
+				Policy:           cm.FairCM,
+				Acquire:          tc.acquire,
+				Placement:        placement.Adaptive,
+				RepartitionEpoch: 1 << 30, // no automatic rounds; the hook drives the move
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := s.Mem.Alloc(8, 0)
+			dir := s.Placement()
+			stripe := dir.StripeOf(s.lockKey(addr))
+			from := dir.StripeOwner(stripe)
+			to := 1 - from
+			armed := true
+			s.testHookResolved = func() {
+				if !armed {
+					return
+				}
+				armed = false
+				// Nothing holds a lock on the stripe, so the owner would hand
+				// it off on its next scan; complete it here, in the window.
+				if !dir.InitiateMove(stripe, to) {
+					panic("InitiateMove refused")
+				}
+				dir.CompleteHandoff(stripe)
+			}
+			s.SpawnWorkers(func(rt *Runtime) {
+				if rt.AppIndex() != 0 {
+					return
+				}
+				rt.Run(func(tx *Tx) {
+					if tc.read {
+						tx.Read(addr)
+					} else {
+						tx.Write(addr, 7)
+					}
+				})
+				rt.AddOps(1)
+			})
+			st := s.RunToCompletion()
+			if armed {
+				t.Fatal("no lock request resolved a placement")
+			}
+			if st.Commits != 1 || st.Aborts != 0 {
+				t.Fatalf("commits=%d aborts=%d, want 1/0", st.Commits, st.Aborts)
+			}
+			if st.StaleNacks != 1 {
+				t.Fatalf("stale NACKs = %d, want 1: node %d granted a request for a stripe it had handed to node %d",
+					st.StaleNacks, from, to)
+			}
+			if got := dir.StripeOwner(stripe); got != to {
+				t.Fatalf("stripe owned by node %d after handoff, want %d", got, to)
+			}
+			if !tc.read {
+				if got := s.Mem.ReadRaw(addr); got != 7 {
+					t.Fatalf("mem = %d, want 7", got)
+				}
+			}
+			if leaked := s.LockedAddrs(); leaked != 0 {
+				t.Fatalf("%d addresses still locked", leaked)
+			}
+		})
+	}
+}
+
 // TestAdaptiveSerialRPCMigration drives the SerialRPC commit path against
 // live adaptive migrations. Serial acquisition awaits a full round trip
 // between batches, so the directory can migrate ownership mid-commit; the

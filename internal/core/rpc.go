@@ -149,7 +149,7 @@ func (rt *Runtime) placementAbort() {
 // heat the adaptive policy reads.
 func (rt *Runtime) rpcReadLock(tx *Tx, key mem.Addr) *respLock {
 	rt.s.dir.Record(rt.cluster, key)
-	node, epoch := rt.s.nodeFor(key), rt.s.dir.Epoch()
+	node, epoch := rt.resolve(key)
 	for hop := 0; ; hop++ {
 		id := rt.nextReqID()
 		req := getReadLockReq()
@@ -181,9 +181,17 @@ func (rt *Runtime) rpcReadLock(tx *Tx, key mem.Addr) *respLock {
 			node, epoch = hintOwner, hintEpoch
 			rt.shard.StaleNackHints++
 		} else {
-			node, epoch = rt.s.nodeFor(key), rt.s.dir.Epoch()
+			node, epoch = rt.resolve(key)
 		}
 	}
+}
+
+// resolve returns key's owner and the epoch of that resolution, read
+// together (see placement.Directory.Resolve).
+func (rt *Runtime) resolve(key mem.Addr) (node int, epoch uint64) {
+	node, epoch = rt.s.dir.Resolve(key)
+	rt.s.afterResolve()
+	return node, epoch
 }
 
 // sendWriteLock sends one write-lock batch to node — all keys must map to
@@ -238,7 +246,7 @@ func (rt *Runtime) rpcWriteLock(tx *Tx, node int, epoch uint64, keys []mem.Addr)
 // owner hint steers the retry without a fresh directory resolution.
 func (rt *Runtime) rpcWriteLockEager(tx *Tx, key mem.Addr) *respLock {
 	rt.s.dir.Record(rt.cluster, key)
-	node, epoch := rt.s.nodeFor(key), rt.s.dir.Epoch()
+	node, epoch := rt.resolve(key)
 	for hop := 0; ; hop++ {
 		rt.eagerKey[0] = key
 		resp := rt.rpcWriteLock(tx, node, epoch, rt.eagerKey[:])
@@ -257,7 +265,7 @@ func (rt *Runtime) rpcWriteLockEager(tx *Tx, key mem.Addr) *respLock {
 			node, epoch = hintOwner, hintEpoch
 			rt.shard.StaleNackHints++
 		} else {
-			node, epoch = rt.s.nodeFor(key), rt.s.dir.Epoch()
+			node, epoch = rt.resolve(key)
 		}
 	}
 }

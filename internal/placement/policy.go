@@ -61,48 +61,48 @@ func (rangePolicy) Owner(d *Directory, key mem.Addr) int {
 func (rangePolicy) Repartition(*Directory) []Move { return nil }
 
 // nodeLoads sums the closing epoch's access counts per owning node over the
-// materialized leaves. Unmaterialized stripes were never recorded this
-// window, so their contribution is exactly zero — walking leaves only is
-// bit-identical to the historic flat scan. Called with d.mu held.
+// touched stripes of the materialized leaves. Every other stripe was not
+// recorded this window, so its contribution is exactly zero — walking the
+// touched indexes only is bit-identical to the historic flat scan. Called
+// with d.mu held.
 func nodeLoads(d *Directory) (load []uint64, total uint64) {
 	load = make([]uint64, d.cfg.Nodes)
-	for _, id := range d.leafOrder {
-		lf := d.leaves[id]
+	for _, lf := range d.live {
 		if lf.total == 0 {
 			continue
 		}
-		for i, c := range lf.counts {
-			if c != 0 {
-				load[lf.owner[i]] += c
-				total += c
-			}
+		for _, i := range lf.touched {
+			sl := &lf.slots[i]
+			load[sl.owner] += sl.count
+			total += sl.count
 		}
 	}
 	return load, total
 }
 
-// hottestFit scans the materialized stripes in ascending order for the
-// hottest stripe owned by donor that is not frozen, not already planned,
-// and no hotter than maxHeat; ties break to the lowest stripe index. A
-// whole leaf is skipped when its aggregate heat cannot beat the incumbent.
-// Returns the stripe, its count and its packed affinity vote, or stripe -1.
-// Called with d.mu held.
+// hottestFit finds the hottest touched stripe owned by donor that is not
+// frozen, not already planned, and no hotter than maxHeat; ties break to
+// the lowest stripe index, so the result does not depend on the order
+// leaves or touched slots are walked in. A whole leaf is skipped when its
+// aggregate heat cannot beat the incumbent. Returns the stripe, its count
+// and its packed affinity vote, or stripe -1. Called with d.mu held.
 func hottestFit(d *Directory, donor int, maxHeat float64, planned map[int]bool) (stripe int, count, aff uint64) {
 	stripe = -1
-	for _, id := range d.leafOrder {
-		lf := d.leaves[id]
-		if lf.total <= count {
-			continue // no stripe inside can beat the incumbent
+	for _, lf := range d.live {
+		base := lf.id << d.leafShift
+		if lf.total < count || lf.total == count && base > stripe {
+			continue // no stripe inside can beat the incumbent, nor tie it from a lower index
 		}
-		base := id << d.leafShift
-		for i, c := range lf.counts {
-			if c <= count || float64(c) > maxHeat || int(lf.owner[i]) != donor || lf.pending[i] >= 0 || planned[base+i] {
+		for _, i := range lf.touched {
+			sl, s := &lf.slots[i], base+int(i)
+			c := sl.count
+			if c < count || c == count && (c == 0 || s > stripe) {
 				continue
 			}
-			stripe, count = base+i, c
-			if lf.aff != nil {
-				aff = lf.aff[i]
+			if float64(c) > maxHeat || int(sl.owner) != donor || sl.pending >= 0 || planned[s] {
+				continue
 			}
+			stripe, count, aff = s, c, sl.aff
 		}
 	}
 	return stripe, count, aff
