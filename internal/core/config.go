@@ -356,17 +356,9 @@ type Config struct {
 	// backend: an RPC that outlives it aborts the attempt (ReasonTimeout,
 	// Stats.RPCTimeouts) with conservative lock release, mapping peer
 	// stalls and broken connections onto the ordinary retry machinery.
-	// Defaults to 2s on net; ignored on sim/live, whose transports cannot
-	// lose messages.
+	// Defaults to 2s on net; must not be negative. Ignored (normalized to
+	// zero) on sim/live, whose transports cannot lose messages.
 	RPCDeadline time.Duration
-	// ArrivalStamp makes a DTM node timestamp contending requests at
-	// envelope arrival instead of each payload's service instant: every
-	// payload of one coalesced burst then carries the same OffsetGreedy
-	// arrival time. Answers the FairCM fairness question raised when the
-	// coalescing plane landed; see README. Sim-visible knob, off by
-	// default (per-payload service-instant stamping is the pinned
-	// historic behavior).
-	ArrivalStamp bool
 }
 
 func (c *Config) normalize() error {
@@ -375,6 +367,9 @@ func (c *Config) normalize() error {
 	}
 	if c.Protocol > ProtocolTL2 {
 		return fmt.Errorf("core: unknown protocol %d", c.Protocol)
+	}
+	if c.RPCDeadline < 0 {
+		return fmt.Errorf("core: negative RPCDeadline %v", c.RPCDeadline)
 	}
 	if c.Backend == BackendNet {
 		n := c.Net
@@ -399,6 +394,8 @@ func (c *Config) normalize() error {
 		if c.RPCDeadline == 0 {
 			c.RPCDeadline = 2 * time.Second
 		}
+	} else {
+		c.RPCDeadline = 0
 	}
 	if c.Platform.NumCores() == 0 {
 		c.Platform = noc.SCC(0)

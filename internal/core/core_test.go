@@ -521,3 +521,49 @@ func TestNodeForStableAndInRange(t *testing.T) {
 		}
 	}
 }
+
+// TestRPCDeadlineNormalize pins Config.RPCDeadline's three cases. rpc.go
+// arms deadlines only when the value is > 0, so a negative one would
+// silently turn off the net backend's lost-message recovery: every backend
+// rejects it. Sim and live, whose transports cannot lose messages, zero it,
+// so live ports — which can wait with a deadline — never arm one. Net
+// defaults it to 2s and keeps an explicit value.
+func TestRPCDeadlineNormalize(t *testing.T) {
+	cfgFor := func(b Backend, d time.Duration) Config {
+		cfg := Config{Backend: b, RPCDeadline: d}
+		if b == BackendNet {
+			cfg.Net = &NetConfig{Ranks: 2, Addrs: []string{"unix:r0", "unix:r1"}}
+		}
+		return cfg
+	}
+	t.Run("negative", func(t *testing.T) {
+		for _, b := range []Backend{BackendSim, BackendLive, BackendNet} {
+			cfg := cfgFor(b, -time.Second)
+			if err := cfg.normalize(); err == nil {
+				t.Errorf("%v: negative RPCDeadline accepted", b)
+			}
+		}
+	})
+	t.Run("ignored-off-net", func(t *testing.T) {
+		for _, b := range []Backend{BackendSim, BackendLive} {
+			cfg := cfgFor(b, time.Second)
+			if err := cfg.normalize(); err != nil {
+				t.Fatal(err)
+			}
+			if cfg.RPCDeadline != 0 {
+				t.Errorf("%v: RPCDeadline = %v, want 0", b, cfg.RPCDeadline)
+			}
+		}
+	})
+	t.Run("net", func(t *testing.T) {
+		for in, want := range map[time.Duration]time.Duration{0: 2 * time.Second, time.Second: time.Second} {
+			cfg := cfgFor(BackendNet, in)
+			if err := cfg.normalize(); err != nil {
+				t.Fatal(err)
+			}
+			if cfg.RPCDeadline != want {
+				t.Errorf("RPCDeadline %v normalized to %v, want %v", in, cfg.RPCDeadline, want)
+			}
+		}
+	})
+}

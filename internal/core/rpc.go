@@ -30,9 +30,10 @@ import (
 type wireMsg interface{ bytes() int }
 
 // deadlineRecver is the optional port capability behind per-RPC deadlines:
-// a selective receive that gives up after d. Only the net backend's ports
-// provide it — sim and live transports never lose messages, so their
-// awaits may block indefinitely.
+// a selective receive that gives up after d. The goroutine ports of the
+// live and net backends provide it, but Config.RPCDeadline is nonzero only
+// on net — sim and live transports never lose messages, so their awaits
+// may block indefinitely.
 type deadlineRecver interface {
 	RecvMatchTimeout(pred func(port.Msg) bool, d time.Duration) (port.Msg, bool)
 }

@@ -29,11 +29,13 @@ type System struct {
 
 	// K is the simulation kernel (nil on the live and net backends).
 	K *sim.Kernel
-	// eng is the live engine (nil on the sim and net backends).
+	// eng runs the goroutine ports of the live and net backends (nil on
+	// sim).
 	eng *live.Engine
-	// neng is the cross-process engine (nil except on the net backend). It
-	// hosts the ports of the cores this rank owns; every other core's port
-	// is a Stub that serializes sends onto the owning rank's connection.
+	// neng is the cross-process transport (nil except on the net backend).
+	// It hosts the ports of the cores this rank owns on eng; every other
+	// core's port is a Stub that serializes sends onto the owning rank's
+	// connection.
 	neng *netbe.Engine
 
 	Mem  *mem.Memory
@@ -114,27 +116,26 @@ func NewSystem(cfg Config) (*System, error) {
 		cfg:   cfg,
 		isSvc: make(map[int]bool),
 	}
-	switch cfg.Backend {
-	case BackendLive:
+	if cfg.Backend == BackendSim {
+		s.K = sim.New(cfg.Seed)
+	} else {
 		s.eng = live.New(cfg.Seed)
-	case BackendNet:
+	}
+	if cfg.Backend == BackendNet {
 		sess := cfg.Net.Session
 		if sess < 0 {
 			sess = netbe.NextSession()
 		}
-		eng, err := netbe.New(netbe.Config{
+		neng, err := netbe.New(netbe.Config{
 			Rank:    cfg.Net.Rank,
 			Ranks:   cfg.Net.Ranks,
 			Addrs:   cfg.Net.Addrs,
 			Session: sess,
-			Seed:    cfg.Seed,
-		})
+		}, s.eng)
 		if err != nil {
 			return nil, err
 		}
-		s.neng = eng
-	default:
-		s.K = sim.New(cfg.Seed)
+		s.neng = neng
 	}
 	s.Mem = mem.New(&s.cfg.Platform)
 	s.Regs = mem.NewRegisters(&s.cfg.Platform)
@@ -382,10 +383,6 @@ func (s *System) Run(d time.Duration) *Stats {
 	}
 	s.ran = true
 	s.deadline = sim.Time(d)
-	if s.neng != nil {
-		s.runNet(20*d + 10*time.Second)
-		return &s.stats
-	}
 	if s.eng != nil {
 		// Watchdog: the drain tail must fit one last long transaction, but
 		// a pathological stall must not hang the host process forever.
@@ -412,10 +409,6 @@ func (s *System) RunToCompletion() *Stats {
 	}
 	s.ran = true
 	s.deadline = sim.Infinity
-	if s.neng != nil {
-		s.runNet(5 * time.Minute)
-		return &s.stats
-	}
 	if s.eng != nil {
 		s.runLive(5 * time.Minute)
 		return &s.stats
@@ -431,25 +424,31 @@ func (s *System) RunToCompletion() *Stats {
 // transactions that are still aborting then are killed at their next retry
 // boundary so the drain terminates even under livelock-prone policies.
 func (s *System) liveDrainExpired() bool {
-	if s.deadline == sim.Infinity {
-		return false
-	}
-	switch {
-	case s.eng != nil:
-		return s.eng.Now() >= s.deadline*6
-	case s.neng != nil:
-		return s.neng.Now() >= s.deadline*6
-	}
-	return false
+	return s.deadline != sim.Infinity && s.eng != nil && s.eng.Now() >= s.deadline*6
 }
 
-// runLive drives one live-backend run: release the goroutines, wait for
-// every workload loop to finish on its own (bounded by the watchdog), then
-// drain and kill the service loops and snapshot. Shutdown re-raises the
-// first worker panic, so faults surface to Run's caller exactly like sim
-// proc panics do.
+// runLive drives one run on the goroutine backends: release the
+// goroutines, wait for every workload loop to finish on its own (bounded by
+// the watchdog), then drain and kill the service loops and snapshot.
+// Shutdown re-raises the first worker panic, so faults surface to Run's
+// caller exactly like sim proc panics do.
+//
+// On the net backend the run also binds the state plane and rendezvous with
+// the peers first, and runs the drain protocol before the kill — DONE
+// barrier (no process can issue new requests), DRAIN barrier
+// (per-connection FIFO means every release already reached its destination
+// mailbox) — and afterwards exchanges statistics so every rank holds the
+// merged totals. The order is what makes the lock tables quiesce empty
+// across process boundaries.
 func (s *System) runLive(watchdog time.Duration) {
-	s.eng.Start()
+	if s.neng != nil {
+		s.neng.BindState(s.Mem, s.Regs, s.rankOf)
+		if err := s.neng.Start(); err != nil {
+			panic(err)
+		}
+	} else {
+		s.eng.Start()
+	}
 	s.snap.Start()
 	done := make(chan struct{})
 	go func() {
@@ -462,54 +461,25 @@ func (s *System) runLive(watchdog time.Duration) {
 		if f := s.eng.Fault(); f != nil {
 			panic(f)
 		}
-		panic(fmt.Sprintf("core: live backend: workers failed to drain within %v", watchdog))
+		panic(fmt.Sprintf("core: %v backend: local workers failed to drain within %v", s.cfg.Backend, watchdog))
+	}
+	if s.neng != nil {
+		// Peers may lag by their own drain tails; give them the same budget.
+		if err := s.neng.BarrierDone(watchdog); err != nil {
+			panic(err)
+		}
+		if err := s.neng.BarrierDrain(30 * time.Second); err != nil {
+			panic(err)
+		}
 	}
 	dur := s.eng.Now()
 	s.eng.Shutdown()
 	s.snap.Stop()
 	s.snapshot(dur)
-}
-
-// runNet drives one rank of a cross-process run: bind the state plane,
-// rendezvous with the peers, wait for this rank's local workload loops,
-// then run the drain protocol — DONE barrier (no process can issue new
-// requests), DRAIN barrier (per-connection FIFO means every release
-// already reached its destination mailbox), local drain-and-kill — and
-// finally snapshot and exchange statistics so every rank holds the merged
-// totals. The order is what makes the lock tables quiesce empty across
-// process boundaries.
-func (s *System) runNet(watchdog time.Duration) {
-	s.neng.BindState(s.Mem, s.Regs, s.rankOf)
-	if err := s.neng.Start(); err != nil {
-		panic(err)
+	if s.neng != nil {
+		s.mergeNetStats()
+		s.neng.Close()
 	}
-	s.snap.Start()
-	done := make(chan struct{})
-	go func() {
-		s.workersDone.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(watchdog):
-		if f := s.neng.Fault(); f != nil {
-			panic(f)
-		}
-		panic(fmt.Sprintf("core: net backend: local workers failed to drain within %v", watchdog))
-	}
-	// Peers may lag by their own drain tails; give them the same budget.
-	if err := s.neng.BarrierDone(watchdog); err != nil {
-		panic(err)
-	}
-	if err := s.neng.BarrierDrain(30 * time.Second); err != nil {
-		panic(err)
-	}
-	dur := s.neng.Now()
-	s.neng.Shutdown()
-	s.snap.Stop()
-	s.snapshot(dur)
-	s.mergeNetStats()
-	s.neng.Close()
 }
 
 // netShare is one rank's contribution to the merged post-run statistics.

@@ -49,9 +49,6 @@ func (s *System) now() sim.Time {
 	if s.eng != nil {
 		return s.eng.Now()
 	}
-	if s.neng != nil {
-		return s.neng.Now()
-	}
 	return s.K.Now()
 }
 

@@ -1,6 +1,6 @@
 // Package live implements the real-concurrency execution backend of TM2C-Go:
-// every port is an actual goroutine, mailboxes are buffered channels with
-// selective receive, Advance is a no-op (the hardware runs as fast as it
+// every port is an actual goroutine with an unbounded, never-blocking inbox
+// and selective receive, Advance is a no-op (the hardware runs as fast as it
 // runs) and Now is the monotonic clock.
 //
 // The backend implements the same port.Port contract as the deterministic
@@ -8,10 +8,17 @@
 // internal/core runs on it unchanged: lock requests, scatter-gather commits,
 // contention management, adaptive placement, irrevocability. What changes is
 // the meaning of time — run windows are wall-clock, message latency is
-// channel latency, and interleavings are whatever the Go scheduler produces,
-// so runs are NOT reproducible. Correctness on this backend is checked with
-// invariants (money conservation, empty lock tables at quiesce, -race)
-// rather than the simulator's serializability audit.
+// goroutine wake-up latency, and interleavings are whatever the Go scheduler
+// produces, so runs are NOT reproducible. Correctness on this backend is
+// checked with invariants (money conservation, empty lock tables at quiesce,
+// -race) rather than the simulator's serializability audit.
+//
+// The engine is also the goroutine runtime of the cross-process backend
+// (internal/net): a rank hosts its own cores as live ports and registers a
+// Remote stand-in (AddRemote) for every core of another rank, so port IDs
+// and RNG seeds follow one global spawn order and a Send to a remote core
+// hands the payload to the stand-in's Deliver. Connection readers feed local
+// ports through Port.Deliver, which never blocks.
 //
 // Lifecycle: Spawn all ports first (goroutines block on an internal gate),
 // then Start releases them and starts the clock, and Shutdown drains and
@@ -31,21 +38,23 @@ import (
 	"repro/internal/sim"
 )
 
-// mailboxCap is each port's channel buffer. The DTM protocol keeps at most a
-// handful of requests in flight per core (one awaited RPC phase, plus
-// fire-and-forget releases and barrier traffic), so this never fills in
-// practice; if it ever does, senders simply block — backpressure, not loss.
-const mailboxCap = 4096
-
 // killSentinel unwinds a port goroutine blocked in a receive when the engine
 // shuts down; the spawn wrapper recovers it (same pattern as the sim
 // kernel).
 type killSentinel struct{}
 
+// Remote is a Send destination hosted outside this engine, such as a core of
+// another process. Deliver hands it one payload sent by the local port with
+// ID from.
+type Remote interface {
+	port.Port
+	Deliver(from int, payload any)
+}
+
 // Engine owns the goroutine ports of one live system.
 type Engine struct {
 	seed    uint64
-	ports   []*Port
+	ports   []port.Port   // by ID: *Port, or a Remote registered by AddRemote
 	started chan struct{} // closed by Start; gates every port goroutine
 	quit    chan struct{} // closed by Shutdown; drains and kills receivers
 	all     sync.WaitGroup
@@ -72,27 +81,22 @@ func New(seed uint64) *Engine {
 // blocks until Start, so all spawning (and all raw-memory setup) happens
 // before any worker code runs. Spawn must not be called after Start.
 func (e *Engine) Spawn(name string, fn func(port.Port)) port.Port {
-	e.mu.Lock()
-	if e.running {
-		e.mu.Unlock()
-		panic("live: Spawn after Start")
-	}
-	p := &Port{
-		eng:  e,
-		id:   len(e.ports),
-		name: name,
-		ch:   make(chan port.Msg, mailboxCap),
-		rng:  sim.NewRand(e.seed ^ (0x9e3779b97f4a7c15 * uint64(len(e.ports)+1))),
-	}
-	e.ports = append(e.ports, p)
-	e.mu.Unlock()
+	p := e.add("Spawn", func(id int) port.Port {
+		return &Port{
+			eng:  e,
+			id:   id,
+			name: name,
+			rng:  sim.NewRand(e.seed ^ (0x9e3779b97f4a7c15 * uint64(id+1))),
+			wake: make(chan struct{}, 1),
+		}
+	})
 	e.all.Add(1)
 	go func() {
 		defer e.all.Done()
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(killSentinel); !ok {
-					e.setFault(r)
+					e.Fail(r)
 				}
 			}
 		}()
@@ -100,6 +104,35 @@ func (e *Engine) Spawn(name string, fn func(port.Port)) port.Port {
 		fn(p)
 	}()
 	return p
+}
+
+// AddRemote registers a port hosted outside this engine under the next
+// port ID: mk builds it from that ID. No goroutine runs for it; local ports
+// reach it only as a Send destination. AddRemote must not be called after
+// Start.
+func (e *Engine) AddRemote(mk func(id int) Remote) Remote {
+	return e.add("AddRemote", func(id int) port.Port { return mk(id) }).(Remote)
+}
+
+// add appends the port mk builds from the next ID to the port table.
+func (e *Engine) add(op string, mk func(id int) port.Port) port.Port {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.running {
+		panic("live: " + op + " after Start")
+	}
+	p := mk(len(e.ports))
+	e.ports = append(e.ports, p)
+	return p
+}
+
+// Port returns the port with the given ID (local or remote), or nil if no
+// such port exists. Safe to call concurrently once spawning is over.
+func (e *Engine) Port(id int) port.Port {
+	if id < 0 || id >= len(e.ports) {
+		return nil
+	}
+	return e.ports[id]
 }
 
 // Start releases every spawned goroutine and starts the monotonic clock.
@@ -110,8 +143,8 @@ func (e *Engine) Start() {
 		panic("live: Start called twice")
 	}
 	e.running = true
-	e.mu.Unlock()
 	e.start = time.Now()
+	e.mu.Unlock()
 	close(e.started)
 }
 
@@ -119,19 +152,12 @@ func (e *Engine) Start() {
 // zero before Start.
 func (e *Engine) Now() sim.Time {
 	e.mu.Lock()
-	running := e.running
+	running, start := e.running, e.start
 	e.mu.Unlock()
 	if !running {
 		return 0
 	}
-	return sim.Time(time.Since(e.start))
-}
-
-// NumPorts returns how many ports were spawned.
-func (e *Engine) NumPorts() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.ports)
+	return sim.Time(time.Since(start))
 }
 
 // Shutdown drains and terminates every port that is still receiving (the
@@ -158,15 +184,18 @@ func (e *Engine) Shutdown() {
 	}
 }
 
-// Fault returns the first panic value captured from a port goroutine, if
-// any. Watchdogs consult it while waiting for workers to drain.
+// Fault returns the first fault recorded so far (a port goroutine's panic
+// value or a Fail argument), if any. Watchdogs consult it while waiting for
+// workers to drain.
 func (e *Engine) Fault() any {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.fault
 }
 
-func (e *Engine) setFault(r any) {
+// Fail records r as the engine's fault unless one is already recorded;
+// Shutdown re-raises it. Transport goroutines report errors through it.
+func (e *Engine) Fail(r any) {
 	e.mu.Lock()
 	if e.fault == nil {
 		e.fault = r
@@ -174,23 +203,41 @@ func (e *Engine) setFault(r any) {
 	e.mu.Unlock()
 }
 
-// Port is one live execution context: a goroutine with a channel mailbox.
-// All methods except ID must be called from the port's own goroutine; the
-// stash (messages set aside by selective receive) is single-consumer state.
+// Quit is closed when Shutdown begins. A port goroutine that blocks on
+// something other than its mailbox selects on it and then calls Unwind.
+func (e *Engine) Quit() <-chan struct{} { return e.quit }
+
+// Unwind terminates the calling port goroutine the way a receive on a
+// drained mailbox does at shutdown: silently, without recording a fault.
+// Only goroutines started by Spawn may call it.
+func Unwind() { panic(killSentinel{}) }
+
+// Port is one live execution context: a goroutine with an unbounded inbox.
+// Any goroutine may Deliver into the inbox; every other method except ID
+// must be called from the port's own goroutine, which moves the inbox into
+// its single-consumer stash and receives from there.
 type Port struct {
 	eng  *Engine
 	id   int
 	name string
 	rng  sim.Rand
-	ch   chan port.Msg
+
+	// The inbox is unbounded so that Deliver never blocks: a net connection
+	// reader stalled on a full mailbox could deadlock its whole rank.
+	mu    sync.Mutex
+	inbox sim.MsgQueue
+	wake  chan struct{} // cap 1: at least one token per non-empty inbox
 
 	// stash holds delivered-but-deferred messages in delivery order:
 	// everything RecvMatch/TryRecvMatch skipped — the same MsgQueue the
-	// sim kernel's procs use as their mailbox.
+	// sim kernel's procs use as their mailbox. taken is the emptied inbox
+	// buffer fill swaps in, reused so that steady-state receives allocate
+	// nothing.
 	stash sim.MsgQueue
+	taken sim.MsgQueue
 
 	// onBatch, when set, observes every Batch envelope unpacked into the
-	// stash (the payload count). deliver runs on the port's own goroutine,
+	// stash (the payload count). Unpacking runs on the port's own goroutine,
 	// so the hook shares the port's single-consumer discipline.
 	onBatch func(n int)
 }
@@ -233,9 +280,8 @@ func (p *Port) Advance(d time.Duration) {
 func (p *Port) Yield() { runtime.Gosched() }
 
 // Send delivers payload to dst immediately (the delay parameter models
-// simulated latency and is ignored). If dst's mailbox is full the sender
-// blocks — backpressure — unless the engine is shutting down, in which case
-// the message is dropped (its receiver is being killed anyway).
+// simulated latency and is ignored): into dst's inbox when dst is a local
+// port, through its Deliver when it is a Remote.
 func (p *Port) Send(dst port.Port, payload any, delay time.Duration) {
 	if delay < 0 {
 		panic(fmt.Sprintf("live: negative send delay %v", delay))
@@ -243,48 +289,44 @@ func (p *Port) Send(dst port.Port, payload any, delay time.Duration) {
 	if b, ok := payload.(*port.Batch); ok && len(b.Payloads) == 0 {
 		panic("live: empty batch envelope")
 	}
-	d := dst.(*Port)
-	m := port.Msg{From: p.id, Payload: payload}
+	if d, ok := dst.(*Port); ok {
+		d.Deliver(p.id, payload)
+		return
+	}
+	dst.(Remote).Deliver(p.id, payload)
+}
+
+// Deliver appends payload, sent by port from, to the inbox. Any goroutine
+// may call it (a local sender or a net connection reader); it never blocks.
+func (p *Port) Deliver(from int, payload any) {
+	p.mu.Lock()
+	p.inbox.Push(port.Msg{From: from, Payload: payload})
+	p.mu.Unlock()
 	select {
-	case d.ch <- m:
+	case p.wake <- struct{}{}:
 	default:
-		select {
-		case d.ch <- m:
-		case <-p.eng.quit:
-		}
 	}
 }
 
-// recvChan blocks for the next channel message, bypassing the stash. During
-// shutdown it first drains the mailbox, then unwinds the goroutine.
-func (p *Port) recvChan() port.Msg {
-	select {
-	case m := <-p.ch:
-		return m
-	default:
+// fill moves the whole inbox into the stash — one lock, a swap of two
+// queues — and unpacks Batch envelopes into one stashed message per payload
+// (staged order, the envelope's sender), so receivers only ever observe
+// individual protocol payloads, exactly as on the simulated backend. It
+// reports whether anything arrived.
+func (p *Port) fill() bool {
+	p.mu.Lock()
+	p.inbox, p.taken = p.taken, p.inbox
+	p.mu.Unlock()
+	if p.taken.Len() == 0 {
+		return false
 	}
-	select {
-	case m := <-p.ch:
-		return m
-	case <-p.eng.quit:
-		// Drain: releases from the final transactions must be served so
-		// the lock tables quiesce empty; die only on a provably empty box.
-		select {
-		case m := <-p.ch:
-			return m
-		default:
-			panic(killSentinel{})
+	for p.taken.Len() > 0 {
+		m := p.taken.Pop()
+		b, ok := m.Payload.(*port.Batch)
+		if !ok {
+			p.stash.Push(m)
+			continue
 		}
-	}
-}
-
-// deliver appends a channel message to the stash, unpacking Batch envelopes
-// into one stashed message per payload (staged order, the envelope's
-// sender). Receivers therefore only ever observe individual protocol
-// payloads, exactly as on the simulated backend, and selective receive is
-// unchanged.
-func (p *Port) deliver(m port.Msg) {
-	if b, ok := m.Payload.(*port.Batch); ok {
 		for _, pl := range b.Payloads {
 			p.stash.Push(port.Msg{From: m.From, Payload: pl})
 		}
@@ -292,32 +334,48 @@ func (p *Port) deliver(m port.Msg) {
 			p.onBatch(len(b.Payloads))
 		}
 		port.PutBatch(b)
-		return
 	}
-	p.stash.Push(m)
+	return true
+}
+
+// await blocks until fill moves something into the stash and reports true,
+// or reports false once timeout fires (a nil timeout never fires) — after
+// one last fill, since a Deliver may have raced the timer. During shutdown
+// it still drains whatever is queued, then unwinds the goroutine: releases
+// from the final transactions must be served so the lock tables quiesce
+// empty.
+func (p *Port) await(timeout <-chan time.Time) bool {
+	for !p.fill() {
+		select {
+		case <-p.wake:
+		case <-timeout:
+			p.fill()
+			return false
+		case <-p.eng.quit:
+			if !p.fill() {
+				panic(killSentinel{})
+			}
+			return true
+		}
+	}
+	return true
 }
 
 // Recv blocks until a message is available and returns the earliest
 // delivered one (stashed messages first — they were delivered earlier).
 func (p *Port) Recv() port.Msg {
 	for p.stash.Len() == 0 {
-		p.deliver(p.recvChan())
+		p.await(nil)
 	}
 	return p.stash.Pop()
 }
 
 // TryRecv returns the earliest queued message without blocking.
 func (p *Port) TryRecv() (port.Msg, bool) {
-	if p.stash.Len() > 0 {
-		return p.stash.Pop(), true
-	}
-	select {
-	case m := <-p.ch:
-		p.deliver(m)
-		return p.stash.Pop(), true
-	default:
+	if p.stash.Len() == 0 && !p.fill() {
 		return port.Msg{}, false
 	}
+	return p.stash.Pop(), true
 }
 
 // RecvMatch blocks until a message satisfying pred is available and returns
@@ -328,7 +386,7 @@ func (p *Port) RecvMatch(pred func(port.Msg) bool) port.Msg {
 		if m, ok := p.stash.TakeMatch(pred); ok {
 			return m
 		}
-		p.deliver(p.recvChan())
+		p.await(nil)
 	}
 }
 
@@ -339,10 +397,7 @@ func (p *Port) TryRecvMatch(pred func(port.Msg) bool) (port.Msg, bool) {
 		if m, ok := p.stash.TakeMatch(pred); ok {
 			return m, true
 		}
-		select {
-		case m := <-p.ch:
-			p.deliver(m)
-		default:
+		if !p.fill() {
 			return port.Msg{}, false
 		}
 	}
@@ -350,33 +405,34 @@ func (p *Port) TryRecvMatch(pred func(port.Msg) bool) (port.Msg, bool) {
 
 // RecvTimeout waits up to d for a message; ok is false on timeout.
 func (p *Port) RecvTimeout(d time.Duration) (port.Msg, bool) {
-	if p.stash.Len() > 0 {
-		return p.stash.Pop(), true
+	if p.stash.Len() == 0 && !p.fill() && d > 0 {
+		t := time.NewTimer(d)
+		defer t.Stop()
+		p.await(t.C)
 	}
-	if d <= 0 {
-		select {
-		case m := <-p.ch:
-			p.deliver(m)
-			return p.stash.Pop(), true
-		default:
-			return port.Msg{}, false
-		}
+	if p.stash.Len() == 0 {
+		return port.Msg{}, false
+	}
+	return p.stash.Pop(), true
+}
+
+// RecvMatchTimeout is RecvMatch bounded by d: it returns the earliest
+// message satisfying pred, or ok=false once d elapses without one. This is
+// the capability behind the DTM layer's per-RPC deadlines; it sits outside
+// the Port interface and is discovered by type assertion, like
+// SetBatchHook.
+func (p *Port) RecvMatchTimeout(pred func(port.Msg) bool, d time.Duration) (port.Msg, bool) {
+	if m, ok := p.TryRecvMatch(pred); ok {
+		return m, true
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
-	select {
-	case m := <-p.ch:
-		p.deliver(m)
-		return p.stash.Pop(), true
-	case <-t.C:
-		return port.Msg{}, false
-	case <-p.eng.quit:
-		select {
-		case m := <-p.ch:
-			p.deliver(m)
-			return p.stash.Pop(), true
-		default:
-			panic(killSentinel{})
+	for {
+		if !p.await(t.C) {
+			return p.stash.TakeMatch(pred)
+		}
+		if m, ok := p.stash.TakeMatch(pred); ok {
+			return m, true
 		}
 	}
 }

@@ -9,181 +9,6 @@ import (
 	"repro/internal/port"
 )
 
-func errf(format string, args ...any) error { return fmt.Errorf(format, args...) }
-
-// TestStartGate: spawned goroutines must not run before Start — raw-memory
-// setup happens between Spawn and Start, exactly like the sim kernel's
-// pre-Run phase.
-func TestStartGate(t *testing.T) {
-	e := New(1)
-	var ran atomic.Bool
-	e.Spawn("w", func(p port.Port) { ran.Store(true) })
-	time.Sleep(20 * time.Millisecond)
-	if ran.Load() {
-		t.Fatal("goroutine ran before Start")
-	}
-	if e.Now() != 0 {
-		t.Fatalf("Now before Start = %v, want 0", e.Now())
-	}
-	e.Start()
-	e.Shutdown()
-	if !ran.Load() {
-		t.Fatal("goroutine never ran")
-	}
-}
-
-// TestSelectiveReceive: RecvMatch must return the earliest matching message
-// and leave non-matching traffic queued in delivery order for later Recv.
-func TestSelectiveReceive(t *testing.T) {
-	e := New(1)
-	got := make(chan []int, 1)
-	recvd := e.Spawn("recv", func(p port.Port) {
-		var order []int
-		// Take the first even payload, then drain the rest in order.
-		m := p.RecvMatch(func(m port.Msg) bool { return m.Payload.(int)%2 == 0 })
-		order = append(order, m.Payload.(int))
-		for i := 0; i < 4; i++ {
-			order = append(order, p.Recv().Payload.(int))
-		}
-		got <- order
-	})
-	e.Spawn("send", func(p port.Port) {
-		for _, v := range []int{1, 3, 2, 5, 4} {
-			p.Send(recvd, v, 0)
-		}
-	})
-	e.Start()
-	defer e.Shutdown()
-	select {
-	case order := <-got:
-		want := []int{2, 1, 3, 5, 4}
-		for i := range want {
-			if order[i] != want[i] {
-				t.Fatalf("receive order %v, want %v", order, want)
-			}
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("receiver stuck")
-	}
-}
-
-// TestTryRecvMatchStashes: a non-matching message pulled off the channel
-// must stay queued (in the stash) for subsequent receives. The sender's
-// messages are followed by a sentinel on the same FIFO channel, and the
-// receiver first blocks for the sentinel — so by the time TryRecvMatch
-// runs, 7 and 8 are provably delivered (no race on the sender's progress).
-func TestTryRecvMatchStashes(t *testing.T) {
-	e := New(1)
-	done := make(chan error, 1)
-	recvd := e.Spawn("recv", func(p port.Port) {
-		// Blocks until the sentinel arrives, stashing 7 and 8 on the way.
-		p.RecvMatch(func(m port.Msg) bool { return m.Payload.(int) == 0 })
-		m, ok := p.TryRecvMatch(func(m port.Msg) bool { return m.Payload.(int) == 99 })
-		if ok {
-			done <- errf("TryRecvMatch matched %v, want no match", m.Payload)
-			return
-		}
-		// The skipped messages must still be receivable, in delivery order.
-		for _, want := range []int{7, 8} {
-			if m, ok := p.TryRecv(); !ok || m.Payload.(int) != want {
-				done <- errf("TryRecv after stash = %v/%v, want %d/true", m.Payload, ok, want)
-				return
-			}
-		}
-		done <- nil
-	})
-	e.Spawn("send", func(p port.Port) {
-		p.Send(recvd, 7, 0)
-		p.Send(recvd, 8, 0)
-		p.Send(recvd, 0, 0) // sentinel: everything before it is delivered
-	})
-	e.Start()
-	defer e.Shutdown()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("receiver stuck")
-	}
-}
-
-// TestRecvTimeout: an empty mailbox must time out; a delivered message must
-// win over the timer.
-func TestRecvTimeout(t *testing.T) {
-	e := New(1)
-	done := make(chan error, 1)
-	recvd := e.Spawn("recv", func(p port.Port) {
-		if _, ok := p.RecvTimeout(time.Millisecond); ok {
-			done <- errf("RecvTimeout on empty mailbox returned a message")
-			return
-		}
-		if m, ok := p.RecvTimeout(5 * time.Second); !ok || m.Payload.(string) != "hi" {
-			done <- errf("RecvTimeout = %v/%v, want hi/true", m, ok)
-			return
-		}
-		done <- nil
-	})
-	e.Spawn("send", func(p port.Port) {
-		time.Sleep(5 * time.Millisecond)
-		p.Send(recvd, "hi", 0)
-	})
-	e.Start()
-	defer e.Shutdown()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("receiver stuck")
-	}
-}
-
-// TestShutdownDrainsBeforeKill: a service loop blocked in Recv must process
-// every message already in its mailbox before the shutdown kill takes it —
-// the property that lets lock tables quiesce empty on the live backend.
-func TestShutdownDrainsBeforeKill(t *testing.T) {
-	e := New(1)
-	var served atomic.Int64
-	svc := e.Spawn("svc", func(p port.Port) {
-		for {
-			p.Recv()
-			served.Add(1)
-		}
-	})
-	const n = 100
-	sent := make(chan struct{})
-	e.Spawn("send", func(p port.Port) {
-		for i := 0; i < n; i++ {
-			p.Send(svc, i, 0)
-		}
-		close(sent)
-	})
-	e.Start()
-	<-sent
-	e.Shutdown()
-	if got := served.Load(); got != n {
-		t.Fatalf("service drained %d of %d messages before dying", got, n)
-	}
-}
-
-// TestFaultPropagation: a panic in a port goroutine must surface from
-// Shutdown, like sim proc panics surface from Kernel.Run.
-func TestFaultPropagation(t *testing.T) {
-	e := New(1)
-	e.Spawn("bad", func(p port.Port) { panic("boom") })
-	e.Start()
-	defer func() {
-		if r := recover(); r != "boom" {
-			t.Fatalf("Shutdown recovered %v, want boom", r)
-		}
-	}()
-	e.Shutdown()
-	t.Fatal("Shutdown did not re-panic the fault")
-}
-
 // TestRandStreamsMatchSim: port RNG seeding must match the sim kernel's
 // formula, so workload shapes are comparable across backends.
 func TestRandStreamsMatchSim(t *testing.T) {
@@ -199,81 +24,6 @@ func TestRandStreamsMatchSim(t *testing.T) {
 	a, b := <-vals, <-vals
 	if a == b {
 		t.Fatal("distinct ports drew identical random streams")
-	}
-}
-
-// TestBatchEnvelopeUnpacks: a *port.Batch payload must be unpacked into the
-// stash at receive time — the receiver observes one message per payload, in
-// staged order, and selective receive can pick from the middle of an
-// envelope while the rest stays queued.
-func TestBatchEnvelopeUnpacks(t *testing.T) {
-	e := New(1)
-	got := make(chan []any, 1)
-	recvd := e.Spawn("recv", func(p port.Port) {
-		var order []any
-		// Wait for the sentinel first so the envelope is provably queued,
-		// then pick from its middle and drain the rest.
-		p.RecvMatch(func(m port.Msg) bool { return m.Payload == "sentinel" })
-		m := p.RecvMatch(func(m port.Msg) bool { return m.Payload == "pick" })
-		order = append(order, m.Payload)
-		for i := 0; i < 2; i++ {
-			order = append(order, p.Recv().Payload)
-		}
-		got <- order
-	})
-	e.Spawn("send", func(p port.Port) {
-		p.Send(recvd, &port.Batch{Payloads: []any{"x", "pick", "y"}}, 0)
-		p.Send(recvd, "sentinel", 0)
-	})
-	e.Start()
-	defer e.Shutdown()
-	select {
-	case order := <-got:
-		want := []any{"pick", "x", "y"}
-		for i := range want {
-			if order[i] != want[i] {
-				t.Fatalf("order %v, want %v", order, want)
-			}
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("receiver stuck")
-	}
-}
-
-// TestBatchEnvelopeTryRecv: the non-blocking receives must unpack envelopes
-// too, and report each payload separately.
-func TestBatchEnvelopeTryRecv(t *testing.T) {
-	e := New(1)
-	done := make(chan error, 1)
-	recvd := e.Spawn("recv", func(p port.Port) {
-		p.RecvMatch(func(m port.Msg) bool { return m.Payload == "sentinel" })
-		var vals []any
-		for {
-			m, ok := p.TryRecv()
-			if !ok {
-				break
-			}
-			vals = append(vals, m.Payload)
-		}
-		if len(vals) != 2 || vals[0] != "a" || vals[1] != "b" {
-			done <- errf("TryRecv drained %v, want [a b]", vals)
-			return
-		}
-		done <- nil
-	})
-	e.Spawn("send", func(p port.Port) {
-		p.Send(recvd, &port.Batch{Payloads: []any{"a", "b"}}, 0)
-		p.Send(recvd, "sentinel", 0)
-	})
-	e.Start()
-	defer e.Shutdown()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("receiver stuck")
 	}
 }
 

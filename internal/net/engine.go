@@ -1,15 +1,18 @@
 // Package net implements the cross-process execution backend of TM2C-Go:
 // the system's cores are partitioned over separate OS processes ("ranks"),
-// each rank hosts its share as live-style goroutine ports, and messages to
-// cores of other ranks travel as length-prefixed binary frames
-// (internal/wire) over persistent TCP or Unix-domain connections.
+// each rank hosts its share as goroutine ports of a live.Engine, and
+// messages to cores of other ranks travel as length-prefixed binary frames
+// (internal/wire) over persistent TCP or Unix-domain connections. This
+// package keeps only the network-specific parts: Stubs, links and frames,
+// state RPCs, barriers and the stats exchange.
 //
 // The backend relies on replicated construction: every rank builds the
 // identical System from the identical Config (differing only in
 // NetConfig.Rank), so spawn order — and therefore every port ID — agrees
 // across processes without any name service. A port owned by another rank
-// is represented by a Stub that serializes sends onto the owning rank's
-// connection; everything else about the DTM protocol is unchanged.
+// is represented by a Stub, registered in the live engine's port table,
+// that serializes sends onto the owning rank's connection; everything else
+// about the DTM protocol is unchanged.
 //
 // Shared state is partitioned the same way: memory words and allocation
 // bump pointers are homed on rank 0, per-core status/TAS registers on the
@@ -23,8 +26,8 @@
 // conservative lock release). Shutdown is drain-then-close: ranks first
 // agree every worker finished (DONE barrier), then flush their connections
 // (DRAIN barrier — per-connection FIFO guarantees every release message has
-// been delivered), and only then kill the service loops, so lock tables
-// quiesce empty exactly like the live backend.
+// been delivered), and only then shut the live engine down, so lock tables
+// quiesce empty exactly like on the live backend.
 package net
 
 import (
@@ -34,8 +37,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/live"
 	"repro/internal/port"
-	"repro/internal/sim"
 )
 
 // Frame kinds (the u8 after the length prefix; see docs/WIRE.md).
@@ -54,18 +57,12 @@ const (
 	ctrlStats uint8 = 3 // this rank's serialized post-run statistics
 )
 
-// killSentinel unwinds a port goroutine blocked in a receive when the
-// engine shuts down; the spawn wrapper recovers it (same pattern as the sim
-// kernel and the live engine).
-type killSentinel struct{}
-
 // Config places one engine within a cross-process system.
 type Config struct {
 	Rank    int
 	Ranks   int
 	Addrs   []string // per-rank listen addresses ("unix:<path>" or TCP "host:port")
 	Session int      // distinguishes successive systems over one address base
-	Seed    uint64
 
 	// ConnectTimeout bounds the initial rendezvous and any reconnect
 	// attempt (default 30s).
@@ -83,22 +80,14 @@ var sessionCounter atomic.Int64
 // NextSession draws from the per-process auto-session counter.
 func NextSession() int { return int(sessionCounter.Add(1) - 1) }
 
-// Engine owns one rank's goroutine ports and peer connections.
+// Engine owns one rank's peer connections. Its local ports run on the live
+// engine it was built over, which also starts, clocks and shuts them down.
 type Engine struct {
-	cfg   Config
-	ports []port.Port // by spawn ID: *Port (local) or *Stub (remote)
+	cfg  Config
+	live *live.Engine
 
-	started chan struct{} // closed by Start; gates every port goroutine
-	quit    chan struct{} // closed by Shutdown; drains and kills receivers
-	all     sync.WaitGroup
-
-	start time.Time // monotonic epoch, set just before started closes
-
-	mu      sync.Mutex
-	fault   any
-	running bool
-	down    bool
-	closed  bool
+	mu     sync.Mutex
+	closed bool
 
 	ln    gonet.Listener
 	links []*link // by peer rank; links[cfg.Rank] == nil
@@ -121,9 +110,9 @@ type Engine struct {
 	Drops atomic.Uint64
 }
 
-// New validates cfg and returns an engine. No sockets are opened until
-// Start.
-func New(cfg Config) (*Engine, error) {
+// New validates cfg and returns an engine that hosts this rank's ports on
+// eng. No sockets are opened until Start.
+func New(cfg Config, eng *live.Engine) (*Engine, error) {
 	if cfg.Ranks < 2 {
 		return nil, fmt.Errorf("net: need >= 2 ranks, got %d", cfg.Ranks)
 	}
@@ -144,8 +133,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:     cfg,
-		started: make(chan struct{}),
-		quit:    make(chan struct{}),
+		live:    eng,
 		pend:    make(map[uint64]chan []byte),
 		doneCh:  make(chan struct{}, cfg.Ranks),
 		drainCh: make(chan struct{}, cfg.Ranks),
@@ -170,69 +158,24 @@ func New(cfg Config) (*Engine, error) {
 // Rank returns this engine's rank.
 func (e *Engine) Rank() int { return e.cfg.Rank }
 
-// Spawn creates the port of spawn index len(ports). If owner is this rank
-// the port runs fn in its own goroutine (gated on Start, exactly like the
-// live engine); otherwise a Stub stands in and fn never runs here — the
-// owning rank, constructing the same system, spawns the real one. Spawn
-// must not be called after Start.
+// Spawn creates the port of the next spawn index. If owner is this rank it
+// is a live port running fn; otherwise a Stub stands in and fn never runs
+// here — the owning rank, constructing the same system, spawns the real
+// one. Spawn must not be called after Start.
 func (e *Engine) Spawn(name string, owner int, fn func(port.Port)) port.Port {
-	e.mu.Lock()
-	if e.running {
-		e.mu.Unlock()
-		panic("net: Spawn after Start")
+	if owner == e.cfg.Rank {
+		return e.live.Spawn(name, fn)
 	}
-	id := len(e.ports)
-	if owner != e.cfg.Rank {
-		st := &Stub{eng: e, id: id, rank: owner, name: name}
-		e.ports = append(e.ports, st)
-		e.mu.Unlock()
-		return st
-	}
-	p := &Port{
-		eng:  e,
-		id:   id,
-		name: name,
-		rng:  sim.NewRand(e.cfg.Seed ^ (0x9e3779b97f4a7c15 * uint64(id+1))),
-		wake: make(chan struct{}, 1),
-	}
-	e.ports = append(e.ports, p)
-	e.mu.Unlock()
-	e.all.Add(1)
-	go func() {
-		defer e.all.Done()
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killSentinel); !ok {
-					e.setFault(r)
-				}
-			}
-		}()
-		<-e.started
-		fn(p)
-	}()
-	return p
-}
-
-// resolvePort maps a wire port ID to the local replica (wire.PortResolver).
-func (e *Engine) resolvePort(id int) port.Port {
-	if id < 0 || id >= len(e.ports) {
-		return nil
-	}
-	return e.ports[id]
+	return e.live.AddRemote(func(id int) live.Remote {
+		return &Stub{eng: e, id: id, rank: owner, name: name}
+	})
 }
 
 // Start opens the listener, establishes a connection to every peer (dialing
-// the lower-ranked side, accepting the higher), then releases the port
-// goroutines and starts the clock. The connection rendezvous doubles as the
-// start barrier: no rank proceeds until every peer it talks to exists.
+// the lower-ranked side, accepting the higher), then starts the live engine.
+// The connection rendezvous doubles as the start barrier: no rank proceeds
+// until every peer it talks to exists.
 func (e *Engine) Start() error {
-	e.mu.Lock()
-	if e.running {
-		e.mu.Unlock()
-		panic("net: Start called twice")
-	}
-	e.mu.Unlock()
-
 	// Listen if any higher rank will dial us.
 	if e.cfg.Rank < e.cfg.Ranks-1 {
 		netw, addr, err := resolveAddr(e.cfg.Addrs[e.cfg.Rank], e.cfg.Session, e.cfg.Ranks)
@@ -265,24 +208,8 @@ func (e *Engine) Start() error {
 			return err
 		}
 	}
-	e.mu.Lock()
-	e.running = true
-	e.mu.Unlock()
-	e.start = time.Now()
-	close(e.started)
+	e.live.Start()
 	return nil
-}
-
-// Now returns the monotonic time since Start as a sim.Time (nanoseconds);
-// zero before Start.
-func (e *Engine) Now() sim.Time {
-	e.mu.Lock()
-	running := e.running
-	e.mu.Unlock()
-	if !running {
-		return 0
-	}
-	return sim.Time(time.Since(e.start))
 }
 
 // BarrierDone announces that this rank's workers all finished and waits for
@@ -296,8 +223,9 @@ func (e *Engine) BarrierDone(timeout time.Duration) error {
 // BarrierDrain flushes every connection: a DRAIN marker is written behind
 // all previously sent port messages, and per-connection FIFO means that
 // once every peer's marker has been read, every message addressed to this
-// rank has already been pushed into its destination mailbox. Call after
-// BarrierDone; Shutdown's mailbox drain then leaves the lock tables empty.
+// rank has already been delivered into its destination mailbox. Call after
+// BarrierDone; the live engine's Shutdown then drains the mailboxes and
+// leaves the lock tables empty.
 func (e *Engine) BarrierDrain(timeout time.Duration) error {
 	return e.barrier(ctrlDrain, nil, e.drainCh, timeout)
 }
@@ -326,8 +254,8 @@ func (e *Engine) barrier(sub uint8, payload []byte, ch chan struct{}, timeout ti
 }
 
 // ExchangeStats broadcasts this rank's serialized post-run statistics and
-// returns every peer's. Call after Shutdown (local counters quiesced) and
-// before Close (the connections carry the exchange).
+// returns every peer's. Call after the live engine's Shutdown (local
+// counters quiesced) and before Close (the connections carry the exchange).
 func (e *Engine) ExchangeStats(local []byte, timeout time.Duration) ([][]byte, error) {
 	body := append([]byte{ctrlStats}, local...)
 	for _, l := range e.links {
@@ -352,27 +280,6 @@ func (e *Engine) ExchangeStats(local []byte, timeout time.Duration) ([][]byte, e
 	return out, nil
 }
 
-// Shutdown drains and terminates every local port goroutine (mirroring the
-// live engine: a killed receiver empties its mailbox before unwinding) and
-// re-raises the first fault. Connections stay up for ExchangeStats; Close
-// tears them down.
-func (e *Engine) Shutdown() {
-	e.mu.Lock()
-	if !e.down {
-		e.down = true
-		close(e.quit)
-	}
-	e.mu.Unlock()
-	e.all.Wait()
-	e.mu.Lock()
-	f := e.fault
-	e.fault = nil
-	e.mu.Unlock()
-	if f != nil {
-		panic(f)
-	}
-}
-
 // Close tears down the listener and every connection. State RPCs fail fast
 // afterwards (post-run raw verification must run on the owning rank).
 func (e *Engine) Close() {
@@ -392,26 +299,4 @@ func (e *Engine) Close() {
 			l.close()
 		}
 	}
-}
-
-// Fault returns the first panic value captured from a port goroutine or the
-// transport, if any. Watchdogs consult it while waiting for workers.
-func (e *Engine) Fault() any {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.fault
-}
-
-func (e *Engine) setFault(r any) {
-	e.mu.Lock()
-	if e.fault == nil {
-		e.fault = r
-	}
-	e.mu.Unlock()
-}
-
-func (e *Engine) isClosed() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.closed
 }

@@ -5,8 +5,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
+	"repro/internal/live"
 	tmnet "repro/internal/net"
 	"repro/internal/port"
 	"repro/internal/wire"
@@ -34,30 +34,35 @@ func init() {
 	})
 }
 
+// pair is two connected ranks: each one's live engine and transport.
+type pair struct {
+	lives [2]*live.Engine
+	engs  [2]*tmnet.Engine
+}
+
 // startPair builds and starts two connected engines over unix sockets in a
 // fresh temp dir. Each rank spawns the same two actors in the same order
 // (replicated construction); actor i is owned by rank i and runs fn with its
 // own port and its local view of the peer (a Stub).
-func startPair(t *testing.T, fn func(rank int, self, peer port.Port)) [2]*tmnet.Engine {
+func startPair(t *testing.T, fn func(rank int, self, peer port.Port)) pair {
 	t.Helper()
 	dir := t.TempDir()
 	addrs := []string{"unix:" + dir + "/r0", "unix:" + dir + "/r1"}
-	var engs [2]*tmnet.Engine
+	var pr pair
 	for r := 0; r < 2; r++ {
-		eng, err := tmnet.New(tmnet.Config{
-			Rank: r, Ranks: 2, Addrs: addrs, Session: 0, Seed: 42,
-		})
+		pr.lives[r] = live.New(42)
+		var err error
+		pr.engs[r], err = tmnet.New(tmnet.Config{Rank: r, Ranks: 2, Addrs: addrs}, pr.lives[r])
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)
 		}
-		engs[r] = eng
 	}
 	var ports [2][2]port.Port // [rank][owner]
 	for r := 0; r < 2; r++ {
 		r := r
 		for owner := 0; owner < 2; owner++ {
 			owner := owner
-			ports[r][owner] = engs[r].Spawn(fmt.Sprintf("actor%d", owner), owner, func(p port.Port) {
+			ports[r][owner] = pr.engs[r].Spawn(fmt.Sprintf("actor%d", owner), owner, func(p port.Port) {
 				fn(owner, p, ports[r][1-owner])
 			})
 		}
@@ -70,7 +75,7 @@ func startPair(t *testing.T, fn func(rank int, self, peer port.Port)) [2]*tmnet.
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := engs[r].Start(); err != nil {
+			if err := pr.engs[r].Start(); err != nil {
 				errMu.Lock()
 				startErrs = append(startErrs, err)
 				errMu.Unlock()
@@ -81,14 +86,14 @@ func startPair(t *testing.T, fn func(rank int, self, peer port.Port)) [2]*tmnet.
 	for _, err := range startErrs {
 		t.Fatalf("start: %v", err)
 	}
-	return engs
+	return pr
 }
 
-func stopPair(engs [2]*tmnet.Engine) {
-	for _, e := range engs {
+func stopPair(pr pair) {
+	for _, e := range pr.lives {
 		e.Shutdown()
 	}
-	for _, e := range engs {
+	for _, e := range pr.engs {
 		e.Close()
 	}
 }
@@ -98,7 +103,7 @@ func stopPair(engs [2]*tmnet.Engine) {
 func TestEnginePingPong(t *testing.T) {
 	const rounds = 50
 	done := make(chan error, 2)
-	engs := startPair(t, func(rank int, self, peer port.Port) {
+	pr := startPair(t, func(rank int, self, peer port.Port) {
 		var err error
 		defer func() { done <- err }()
 		if rank == 0 {
@@ -132,106 +137,5 @@ func TestEnginePingPong(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	stopPair(engs)
-}
-
-// TestEngineSelectiveReceive checks that RecvMatch stashes non-matching
-// remote messages and replays them in arrival order afterwards.
-func TestEngineSelectiveReceive(t *testing.T) {
-	done := make(chan error, 2)
-	engs := startPair(t, func(rank int, self, peer port.Port) {
-		var err error
-		defer func() { done <- err }()
-		if rank == 1 {
-			// Three decoys, then the match, then one trailer. A single TCP
-			// connection preserves this order end to end.
-			for i := 0; i < 3; i++ {
-				self.Send(peer, &testPing{Seq: uint64(i), Note: 0}, 0)
-			}
-			self.Send(peer, &testPing{Seq: 99, Note: 7}, 0)
-			self.Send(peer, &testPing{Seq: 3, Note: 0}, 0)
-			// Wait for the ack so the engine is not torn down mid-delivery.
-			self.Recv()
-			return
-		}
-		m := self.RecvMatch(func(m port.Msg) bool {
-			pg, ok := m.Payload.(*testPing)
-			return ok && pg.Note == 7
-		})
-		if pg := m.Payload.(*testPing); pg.Seq != 99 {
-			err = fmt.Errorf("matched Seq = %d, want 99", pg.Seq)
-			return
-		}
-		// Stashed decoys must replay in order, then the trailer.
-		for i := 0; i < 4; i++ {
-			m := self.Recv()
-			pg := m.Payload.(*testPing)
-			if pg.Seq != uint64(i) {
-				err = fmt.Errorf("replay %d: Seq = %d", i, pg.Seq)
-				return
-			}
-		}
-		self.Send(peer, &testPing{Seq: 100}, 0)
-	})
-	for i := 0; i < 2; i++ {
-		if err := <-done; err != nil {
-			t.Error(err)
-		}
-	}
-	stopPair(engs)
-}
-
-// TestEngineRecvMatchTimeout exercises the deadline capability the RPC layer
-// maps Config.RPCDeadline onto: a predicate nothing satisfies must return
-// ok=false after roughly the deadline, and a satisfied one returns early.
-func TestEngineRecvMatchTimeout(t *testing.T) {
-	type deadliner interface {
-		RecvMatchTimeout(func(port.Msg) bool, time.Duration) (port.Msg, bool)
-	}
-	done := make(chan error, 2)
-	engs := startPair(t, func(rank int, self, peer port.Port) {
-		var err error
-		defer func() { done <- err }()
-		if rank == 1 {
-			// A decoy that never matches, then the real message later.
-			self.Send(peer, &testPing{Seq: 1, Note: 0}, 0)
-			time.Sleep(30 * time.Millisecond)
-			self.Send(peer, &testPing{Seq: 2, Note: 7}, 0)
-			return
-		}
-		dr, ok := self.(deadliner)
-		if !ok {
-			err = fmt.Errorf("net port lacks RecvMatchTimeout")
-			return
-		}
-		want7 := func(m port.Msg) bool {
-			pg, ok := m.Payload.(*testPing)
-			return ok && pg.Note == 7
-		}
-		// First wait is too short for the matching message.
-		if _, got := dr.RecvMatchTimeout(want7, 5*time.Millisecond); got {
-			err = fmt.Errorf("expected timeout, got a match")
-			return
-		}
-		// Second wait is long enough.
-		m, got := dr.RecvMatchTimeout(want7, 5*time.Second)
-		if !got {
-			err = fmt.Errorf("expected match, timed out")
-			return
-		}
-		if pg := m.Payload.(*testPing); pg.Seq != 2 {
-			err = fmt.Errorf("matched Seq = %d, want 2", pg.Seq)
-			return
-		}
-		// The non-matching decoy is still deliverable afterwards.
-		if pg := self.Recv().Payload.(*testPing); pg.Seq != 1 {
-			err = fmt.Errorf("decoy Seq = %d, want 1", pg.Seq)
-		}
-	})
-	for i := 0; i < 2; i++ {
-		if err := <-done; err != nil {
-			t.Error(err)
-		}
-	}
-	stopPair(engs)
+	stopPair(pr)
 }

@@ -8,7 +8,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/port"
+	"repro/internal/live"
 	"repro/internal/wire"
 )
 
@@ -176,7 +176,7 @@ func (l *link) redial() {
 			c.Close()
 		}
 		if time.Now().After(deadline) {
-			e.setFault(fmt.Errorf("net: rank %d: cannot reach rank %d at %s: %v",
+			e.live.Fail(fmt.Errorf("net: rank %d: cannot reach rank %d at %s: %v",
 				e.cfg.Rank, l.peer, l.addr, err))
 			l.mu.Lock()
 			l.dialing = false
@@ -283,9 +283,10 @@ func (e *Engine) acceptConn(c gonet.Conn) {
 }
 
 // readLoop serves one physical connection until it breaks or the engine
-// closes, dispatching every frame inline: port messages push into local
-// mailboxes (never blocking — see Port.push), state RPCs execute against
-// the local memory/register owners, control frames feed the barriers.
+// closes, dispatching every frame inline: port messages go into local
+// mailboxes (never blocking — see live.Port.Deliver), state RPCs execute
+// against the local memory/register owners, control frames feed the
+// barriers.
 func (e *Engine) readLoop(l *link, c gonet.Conn) {
 	for {
 		kind, body, err := wire.ReadFrame(c)
@@ -304,20 +305,20 @@ func (e *Engine) readLoop(l *link, c gonet.Conn) {
 func (e *Engine) handleFrame(l *link, kind uint8, body []byte) {
 	switch kind {
 	case frMsg:
-		d := wire.NewDec(body, e.resolvePort)
+		d := wire.NewDec(body, e.live.Port)
 		dst := int(d.U32())
 		src := int(d.U32())
 		payload, err := wire.DecodePayload(d)
 		if err != nil {
-			e.setFault(fmt.Errorf("net: rank %d: bad MSG frame from rank %d: %w", e.cfg.Rank, l.peer, err))
+			e.live.Fail(fmt.Errorf("net: rank %d: bad MSG frame from rank %d: %w", e.cfg.Rank, l.peer, err))
 			return
 		}
-		p, ok := e.resolvePort(dst).(*Port)
+		p, ok := e.live.Port(dst).(*live.Port)
 		if !ok {
-			e.setFault(fmt.Errorf("net: rank %d: MSG for port %d, which is not hosted here", e.cfg.Rank, dst))
+			e.live.Fail(fmt.Errorf("net: rank %d: MSG for port %d, which is not hosted here", e.cfg.Rank, dst))
 			return
 		}
-		p.push(port.Msg{From: src, Payload: payload})
+		p.Deliver(src, payload)
 	case frStateReq:
 		e.serveState(l, body)
 	case frStateResp:
@@ -348,6 +349,6 @@ func (e *Engine) handleFrame(l *link, kind uint8, body []byte) {
 	case frHello:
 		// Duplicate HELLO on an established connection: ignore.
 	default:
-		e.setFault(fmt.Errorf("net: rank %d: unknown frame kind %d from rank %d", e.cfg.Rank, kind, l.peer))
+		e.live.Fail(fmt.Errorf("net: rank %d: unknown frame kind %d from rank %d", e.cfg.Rank, kind, l.peer))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/live"
 	"repro/internal/mem"
 	"repro/internal/wire"
 )
@@ -83,11 +84,12 @@ func (e *Engine) stateCall(rank int, build func(enc *wire.Enc)) []byte {
 		e.pendMu.Unlock()
 		panic(fmt.Errorf("net: rank %d: state RPC to rank %d timed out after %v",
 			e.cfg.Rank, rank, e.cfg.StateTimeout))
-	case <-e.quit:
+	case <-e.live.Quit():
 		// The engine is tearing down; unwind like any blocked receive.
 		// (Workers are all done before Shutdown, so a state call here can
 		// only belong to a goroutine being killed anyway.)
-		panic(killSentinel{})
+		live.Unwind()
+		return nil
 	}
 }
 
@@ -102,7 +104,7 @@ func (e *Engine) serveState(l *link, body []byte) {
 	resp.U64(corr)
 	st := e.st
 	if st.mem == nil {
-		e.setFault(fmt.Errorf("net: rank %d: state RPC before BindState", e.cfg.Rank))
+		e.live.Fail(fmt.Errorf("net: rank %d: state RPC before BindState", e.cfg.Rank))
 		return
 	}
 	switch op {
@@ -151,11 +153,11 @@ func (e *Engine) serveState(l *link, body []byte) {
 			st.regs.TASReleaseRaw(reg)
 		}
 	default:
-		e.setFault(fmt.Errorf("net: rank %d: unknown state op %d", e.cfg.Rank, op))
+		e.live.Fail(fmt.Errorf("net: rank %d: unknown state op %d", e.cfg.Rank, op))
 		return
 	}
 	if err := d.Err(); err != nil {
-		e.setFault(fmt.Errorf("net: rank %d: bad state request: %w", e.cfg.Rank, err))
+		e.live.Fail(fmt.Errorf("net: rank %d: bad state request: %w", e.cfg.Rank, err))
 		return
 	}
 	if err := l.write(frStateResp, resp.Bytes()); err != nil {

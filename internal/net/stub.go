@@ -1,0 +1,67 @@
+package net
+
+import (
+	"fmt"
+	"time"
+
+	"repro/internal/live"
+	"repro/internal/port"
+	"repro/internal/sim"
+	"repro/internal/wire"
+)
+
+// Stub stands in for a port hosted by another rank. Only its identity (ID)
+// and its role as a Send destination (Deliver) are usable here; everything
+// execution-context-like panics — by replicated construction nothing on
+// this rank should ever run on a remote core's port.
+type Stub struct {
+	eng  *Engine
+	id   int
+	rank int
+	name string
+}
+
+var _ live.Remote = (*Stub)(nil)
+
+// ID returns the spawn-order port identifier (agreed across ranks).
+func (s *Stub) ID() int { return s.id }
+
+// Name returns the name given at Spawn time.
+func (s *Stub) Name() string { return s.name }
+
+func (s *Stub) remoteUse(method string) string {
+	return fmt.Sprintf("net: %s on %q, a stub for rank %d — remote ports are Send destinations only", method, s.name, s.rank)
+}
+
+func (s *Stub) Now() sim.Time                          { panic(s.remoteUse("Now")) }
+func (s *Stub) Rand() *sim.Rand                        { panic(s.remoteUse("Rand")) }
+func (s *Stub) Advance(time.Duration)                  { panic(s.remoteUse("Advance")) }
+func (s *Stub) Yield()                                 { panic(s.remoteUse("Yield")) }
+func (s *Stub) Send(port.Port, any, time.Duration)     { panic(s.remoteUse("Send")) }
+func (s *Stub) Recv() port.Msg                         { panic(s.remoteUse("Recv")) }
+func (s *Stub) TryRecv() (port.Msg, bool)              { panic(s.remoteUse("TryRecv")) }
+func (s *Stub) RecvMatch(func(port.Msg) bool) port.Msg { panic(s.remoteUse("RecvMatch")) }
+func (s *Stub) TryRecvMatch(func(port.Msg) bool) (port.Msg, bool) {
+	panic(s.remoteUse("TryRecvMatch"))
+}
+func (s *Stub) RecvTimeout(time.Duration) (port.Msg, bool) { panic(s.remoteUse("RecvTimeout")) }
+
+// Deliver serializes payload, sent by local port from, and writes it as one
+// MSG frame on the owning rank's connection. A write failure (connection
+// mid-reconnect) drops the message: the protocol's RPC deadlines absorb the
+// loss.
+func (s *Stub) Deliver(from int, payload any) {
+	enc := wire.GetEnc()
+	enc.U32(uint32(s.id))
+	enc.U32(uint32(from))
+	if err := wire.EncodePayload(enc, payload); err != nil {
+		panic(err) // unregistered payload type: a protocol bug, not an I/O fault
+	}
+	// write copies the frame out before returning, so the encoder recycles
+	// regardless of the write's outcome.
+	err := s.eng.links[s.rank].write(frMsg, enc.Bytes())
+	wire.PutEnc(enc)
+	if err != nil {
+		s.eng.Drops.Add(1)
+	}
+}

@@ -11,12 +11,19 @@
 //   - internal/sim: a proc of the deterministic discrete-event kernel, where
 //     Advance consumes virtual time and exactly one goroutine runs at any
 //     instant (the bit-identical default; see SimPort);
-//   - internal/live: a real goroutine with a channel mailbox, where Advance
-//     is a no-op and Now is the monotonic clock (hardware speed).
+//   - internal/live: a real goroutine with an unbounded, never-blocking
+//     inbox, where Advance is a no-op and Now is the monotonic clock
+//     (hardware speed);
+//   - internal/net: a live port in one of several OS processes, with the
+//     cores of other processes standing in as Stubs whose sends travel as
+//     frames over sockets. The net backend has no port implementation of
+//     its own: it hosts its cores on a live engine.
 //
-// The package sits below both backends and below internal/core, so nothing
-// here may import them; the shared message, time and RNG types come from
-// internal/sim, which is the one package every backend already builds on.
+// conformance_test.go runs one table of receive-contract cases against all
+// three. The package sits below every backend and below internal/core, so
+// nothing here may import them; the shared message, time and RNG types come
+// from internal/sim, which is the one package every backend already builds
+// on.
 package port
 
 import (
@@ -27,7 +34,8 @@ import (
 
 // Msg is one delivered mailbox message. It is sim.Msg verbatim: From is the
 // sender's port ID and Payload the protocol message; the SentAt/At
-// timestamps are meaningful on the simulated backend and zero on live.
+// timestamps are meaningful on the simulated backend and zero on live and
+// net.
 type Msg = sim.Msg
 
 // Port is one core's execution context: its identity, clock, deterministic
@@ -44,7 +52,8 @@ type Port interface {
 	// ID returns the backend-assigned port identifier.
 	ID() int
 	// Now returns the current time: virtual nanoseconds on the simulated
-	// backend, monotonic nanoseconds since Run on the live backend.
+	// backend, monotonic nanoseconds since Run on the live and net
+	// backends.
 	Now() sim.Time
 	// Rand returns the port's deterministic random source. Streams are
 	// seeded identically on every backend, so workload shapes (access
