@@ -27,6 +27,81 @@ func TestRandStreamsMatchSim(t *testing.T) {
 	}
 }
 
+// TestBatchEnvelopeUnpacks: a *port.Batch payload must be unpacked into the
+// stash at receive time — the receiver observes one message per payload, in
+// staged order, and selective receive can pick from the middle of an
+// envelope while the rest stays queued.
+func TestBatchEnvelopeUnpacks(t *testing.T) {
+	e := New(1)
+	got := make(chan []any, 1)
+	recvd := e.Spawn("recv", func(p port.Port) {
+		var order []any
+		// Wait for the sentinel first so the envelope is provably queued,
+		// then pick from its middle and drain the rest.
+		p.RecvMatch(func(m port.Msg) bool { return m.Payload == "sentinel" })
+		m := p.RecvMatch(func(m port.Msg) bool { return m.Payload == "pick" })
+		order = append(order, m.Payload)
+		for i := 0; i < 2; i++ {
+			order = append(order, p.Recv().Payload)
+		}
+		got <- order
+	})
+	e.Spawn("send", func(p port.Port) {
+		p.Send(recvd, &port.Batch{Payloads: []any{"x", "pick", "y"}}, 0)
+		p.Send(recvd, "sentinel", 0)
+	})
+	e.Start()
+	defer e.Shutdown()
+	select {
+	case order := <-got:
+		want := []any{"pick", "x", "y"}
+		for i := range want {
+			if order[i] != want[i] {
+				t.Fatalf("order %v, want %v", order, want)
+			}
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("receiver stuck")
+	}
+}
+
+// TestBatchEnvelopeTryRecv: the non-blocking receives must unpack envelopes
+// too, and report each payload separately.
+func TestBatchEnvelopeTryRecv(t *testing.T) {
+	e := New(1)
+	done := make(chan error, 1)
+	recvd := e.Spawn("recv", func(p port.Port) {
+		p.RecvMatch(func(m port.Msg) bool { return m.Payload == "sentinel" })
+		var vals []any
+		for {
+			m, ok := p.TryRecv()
+			if !ok {
+				break
+			}
+			vals = append(vals, m.Payload)
+		}
+		if len(vals) != 2 || vals[0] != "a" || vals[1] != "b" {
+			done <- fmt.Errorf("TryRecv drained %v, want [a b]", vals)
+			return
+		}
+		done <- nil
+	})
+	e.Spawn("send", func(p port.Port) {
+		p.Send(recvd, &port.Batch{Payloads: []any{"a", "b"}}, 0)
+		p.Send(recvd, "sentinel", 0)
+	})
+	e.Start()
+	defer e.Shutdown()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("receiver stuck")
+	}
+}
+
 // TestOutboxConcurrentFlushOrdering: the Outbox contract on the live
 // backend. Each sender goroutine owns its own Outbox (the contract: one
 // outbox per execution port) and stages bursts for two destinations
