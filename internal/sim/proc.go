@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"sync"
 	"time"
 )
@@ -54,19 +55,23 @@ func PutBatch(b *Batch) {
 	batchPool.Put(b)
 }
 
-// killSentinel is panicked out of park() during Kernel.Shutdown so that the
-// spawn wrapper can unwind a blocked proc's goroutine.
+// killSentinel is panicked out of park() during Kernel.Shutdown so that a
+// blocked proc's coroutine unwinds and finishes.
 type killSentinel struct{}
 
-// Proc is a simulated process (one core, one service loop, ...). All methods
-// except ID and Name must be called only from the proc's own goroutine while
-// it is the running process.
+// Proc is a simulated process (one core, one service loop, ...). Its body
+// runs as a coroutine: the kernel switches in with next when one of the
+// proc's events fires, and the proc switches back out with yield when it
+// blocks. All methods except ID and Name must be called only from the
+// proc's own body while it is the running process.
 type Proc struct {
 	k    *Kernel
 	id   int
 	name string
 
-	wake     chan struct{}
+	next     func() (struct{}, bool) // kernel side: run the proc until it parks or finishes
+	stop     func()                  // kernel side: end the coroutine (Shutdown)
+	yield    func(struct{}) bool     // proc side: park; false once stop was called
 	started  bool
 	finished bool
 
@@ -95,34 +100,31 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 		k:    k,
 		id:   len(k.procs),
 		name: name,
-		wake: make(chan struct{}),
 		rng:  NewRand(k.seed ^ (0x9e3779b97f4a7c15 * uint64(len(k.procs)+1))),
 	}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		p.started = true
+		defer p.exit()
+		fn(p)
+	})
 	k.procs = append(k.procs, p)
 	k.live++
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killSentinel); !ok {
-					// A real bug in proc code: hand the panic to the
-					// kernel, which re-raises it in Run's caller.
-					k.fault = r
-				}
-			}
-			p.finished = true
-			k.live--
-			k.parked <- struct{}{}
-		}()
-		<-p.wake
-		p.started = true
-		fn(p)
-	}()
-	k.schedule(k.now, func() {
-		if !k.killing {
-			k.resume(p)
-		}
-	})
+	k.schedule(k.now, action{kind: actWake, p: p})
 	return p
+}
+
+// exit runs when the proc's body returns or unwinds. A panic other than
+// killSentinel is a real bug in proc code: it is handed to the kernel,
+// which re-raises it in Run's caller.
+func (p *Proc) exit() {
+	if r := recover(); r != nil {
+		if _, ok := r.(killSentinel); !ok {
+			p.k.fault = r
+		}
+	}
+	p.finished = true
+	p.k.live--
 }
 
 // ID returns the proc's kernel-assigned identifier.
@@ -140,11 +142,11 @@ func (p *Proc) Now() Time { return p.k.now }
 // Rand returns the proc's deterministic random source.
 func (p *Proc) Rand() *Rand { return &p.rng }
 
-// park yields control back to the kernel and blocks until resumed.
+// park switches back to the kernel and returns when the kernel resumes the
+// proc. If the kernel is shutting down instead, park unwinds the proc with
+// killSentinel.
 func (p *Proc) park() {
-	p.k.parked <- struct{}{}
-	<-p.wake
-	if p.k.killing {
+	if !p.yield(struct{}{}) || p.k.killing {
 		panic(killSentinel{})
 	}
 }
@@ -158,15 +160,14 @@ func (p *Proc) Advance(d time.Duration) {
 		return
 	}
 	k := p.k
-	k.schedule(k.now+Time(d), func() { k.resume(p) })
+	k.schedule(k.now+Time(d), action{kind: actWake, p: p})
 	p.park()
 }
 
 // Yield reschedules the proc at the current instant behind already-pending
 // events, letting same-timestamp work elsewhere proceed first.
 func (p *Proc) Yield() {
-	k := p.k
-	k.schedule(k.now, func() { k.resume(p) })
+	p.k.schedule(p.k.now, action{kind: actWake, p: p})
 	p.park()
 }
 
@@ -178,8 +179,8 @@ func (p *Proc) Send(dst *Proc, payload any, delay time.Duration) {
 	p.k.SendFrom(p.id, dst, payload, delay)
 }
 
-// SendFrom is Send with an explicit source ID; the kernel may use it from
-// event context (e.g. environment-injected messages).
+// SendFrom is Send with an explicit, non-negative source ID; the kernel may
+// use it from event context (e.g. environment-injected messages).
 func (k *Kernel) SendFrom(src int, dst *Proc, payload any, delay time.Duration) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative send delay %v", delay))
@@ -187,31 +188,35 @@ func (k *Kernel) SendFrom(src int, dst *Proc, payload any, delay time.Duration) 
 	if b, ok := payload.(*Batch); ok && len(b.Payloads) == 0 {
 		panic("sim: empty batch envelope")
 	}
-	sent := k.now
-	at := k.deliverAt(int32(src), int32(dst.id), k.now+Time(delay))
-	k.schedule(at, func() {
-		if dst.finished {
-			return
+	at := k.deliverAt(src, dst.id, k.now+Time(delay))
+	k.schedule(at, action{kind: actDeliver, p: dst, src: src, sent: k.now, payload: payload})
+}
+
+// deliver puts a message sent by src at time sent into dst's mailbox and
+// wakes dst if it is blocked receiving. It runs in kernel context at the
+// delivery instant.
+func (k *Kernel) deliver(src int, dst *Proc, sent Time, payload any) {
+	if dst.finished {
+		return
+	}
+	// A Batch envelope is unpacked here, at the mailbox: each payload
+	// becomes its own Msg in staged order, so receive loops and
+	// selective-receive predicates never see the envelope itself.
+	if b, ok := payload.(*Batch); ok {
+		for _, pl := range b.Payloads {
+			dst.mbox.Push(Msg{From: src, SentAt: sent, At: k.now, Payload: pl})
 		}
-		// A Batch envelope is unpacked here, at the mailbox: each payload
-		// becomes its own Msg in staged order, so receive loops and
-		// selective-receive predicates never see the envelope itself.
-		if b, ok := payload.(*Batch); ok {
-			for _, pl := range b.Payloads {
-				dst.mbox.Push(Msg{From: src, SentAt: sent, At: k.now, Payload: pl})
-			}
-			if dst.onBatch != nil {
-				dst.onBatch(len(b.Payloads))
-			}
-			PutBatch(b)
-		} else {
-			dst.mbox.Push(Msg{From: src, SentAt: sent, At: k.now, Payload: payload})
+		if dst.onBatch != nil {
+			dst.onBatch(len(b.Payloads))
 		}
-		if dst.waiting {
-			dst.waiting = false
-			k.resume(dst)
-		}
-	})
+		PutBatch(b)
+	} else {
+		dst.mbox.Push(Msg{From: src, SentAt: sent, At: k.now, Payload: payload})
+	}
+	if dst.waiting {
+		dst.waiting = false
+		k.resume(dst)
+	}
 }
 
 // Pending reports how many messages are queued in the proc's mailbox.
@@ -270,14 +275,14 @@ func (p *Proc) RecvTimeout(d time.Duration) (m Msg, ok bool) {
 	p.tgen++
 	gen := p.tgen
 	expired := false
-	k.schedule(k.now+Time(d), func() {
+	k.schedule(k.now+Time(d), action{kind: actCall, fn: func() {
 		// Fire only if the proc is still blocked in the same RecvTimeout.
 		if p.waiting && gen == p.tgen && !p.finished {
 			p.waiting = false
 			expired = true
 			k.resume(p)
 		}
-	})
+	}})
 	p.waiting = true
 	p.park()
 	if expired && p.Pending() == 0 {

@@ -1,11 +1,16 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
-// The kernel models a many-core chip in virtual time: every simulated core is
-// a Proc backed by a real goroutine, but the kernel guarantees that exactly
-// one goroutine (either the kernel's event loop or a single Proc) executes at
-// any instant. Control is handed off through unbuffered channels, so no
-// shared state needs locking and, given a fixed seed, every run produces an
-// identical event sequence.
+// The kernel models a many-core chip in virtual time. Every simulated core is
+// a Proc running as a coroutine (iter.Pull): the kernel's event loop switches
+// directly into a proc when one of its events fires, and the proc switches
+// straight back when it blocks. Exactly one of them executes at any instant,
+// so no shared state needs locking and, given a fixed seed, every run
+// produces an identical event sequence.
+//
+// Events live in a binary heap ordered by (time, scheduling sequence). The
+// hot events — waking a proc and delivering a message — carry their proc
+// and payload in a recycled slab instead of a closure, so steady-state
+// simulation allocates nothing in the kernel itself.
 //
 // Procs interact with the simulation only through their *Proc handle:
 // Advance consumes virtual compute time, Send/Recv exchange messages with a
@@ -15,7 +20,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -34,50 +38,61 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 
 func (t Time) String() string { return time.Duration(t).String() }
 
-// event is a scheduled callback. Events with equal timestamps fire in
-// scheduling order (seq), which makes the simulation deterministic.
+// event is one heap entry. Events with equal timestamps fire in scheduling
+// order (seq), which makes the simulation deterministic. What the event does
+// lives in the kernel's action slab at index slot, which keeps heap entries
+// small while they are sifted.
 type event struct {
-	at  Time
-	seq uint64
-	fn  func()
+	at   Time
+	seq  uint64
+	slot int32
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+func (e *event) before(o *event) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h eventHeap) peek() event   { return h[0] }
+
+type actionKind uint8
+
+const (
+	actCall    actionKind = iota // run fn in kernel context
+	actWake                      // resume proc p
+	actDeliver                   // deliver payload from src to proc p's mailbox
+)
+
+// action is what a scheduled event does when it fires.
+type action struct {
+	kind    actionKind
+	p       *Proc // the proc to wake, or the delivery's destination
+	fn      func()
+	src     int
+	sent    Time
+	payload any
+}
 
 // Kernel is the discrete-event scheduler. The zero value is not usable; use
 // New.
 type Kernel struct {
-	now    Time
-	seq    uint64
-	events eventHeap
+	now     Time
+	seq     uint64
+	events  []event  // binary min-heap on (at, seq)
+	actions []action // slab indexed by event.slot
+	free    []int32  // recycled action slots
 
-	procs  []*Proc
-	live   int // procs spawned and not yet finished
-	parked chan struct{}
+	procs []*Proc
+	live  int // procs spawned and not yet finished
 
-	// fifoLast tracks the last delivery timestamp per (src, dst) pair so
-	// that messages between the same two procs are never reordered even
-	// when later messages are assigned smaller delays (e.g. under
-	// congestion models).
-	fifoLast map[uint64]Time
+	// fifo[src][dst] is the last delivery time scheduled from proc src to
+	// proc dst, so that messages between the same two procs are never
+	// reordered even when later messages are assigned smaller delays
+	// (e.g. under congestion models).
+	fifo [][]Time
 
 	killing bool
 	seed    uint64
-	// fault holds a panic value captured from a proc goroutine; resume
+	// fault holds a panic value captured from a proc's coroutine; resume
 	// re-raises it in kernel context so it propagates out of Run to the
-	// simulation's caller instead of killing the process.
+	// simulation's caller.
 	fault any
 
 	eventsRun uint64
@@ -87,11 +102,7 @@ type Kernel struct {
 
 // New returns a kernel whose process RNGs derive from seed.
 func New(seed uint64) *Kernel {
-	return &Kernel{
-		parked:   make(chan struct{}),
-		fifoLast: make(map[uint64]Time),
-		seed:     seed,
-	}
+	return &Kernel{seed: seed}
 }
 
 // Now returns the current virtual time.
@@ -112,13 +123,67 @@ func (k *Kernel) EnableTraceHash() { k.hashing = true; k.hash = 1469598103934665
 // TraceHash returns the accumulated event-trace hash (see EnableTraceHash).
 func (k *Kernel) TraceHash() uint64 { return k.hash }
 
-// schedule enqueues fn to run at timestamp at (clamped to now).
-func (k *Kernel) schedule(at Time, fn func()) {
+// schedule enqueues a to fire at timestamp at (clamped to now).
+func (k *Kernel) schedule(at Time, a action) {
 	if at < k.now {
 		at = k.now
 	}
+	var slot int32
+	if n := len(k.free); n > 0 {
+		slot = k.free[n-1]
+		k.free = k.free[:n-1]
+		k.actions[slot] = a
+	} else {
+		slot = int32(len(k.actions))
+		k.actions = append(k.actions, a)
+	}
 	k.seq++
-	heap.Push(&k.events, event{at: at, seq: k.seq, fn: fn})
+	k.push(event{at: at, seq: k.seq, slot: slot})
+}
+
+// push adds e to the event heap.
+func (k *Kernel) push(e event) {
+	h := append(k.events, e)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = e
+	k.events = h
+}
+
+// pop removes and returns the earliest event. The heap must be non-empty.
+func (k *Kernel) pop() event {
+	h := k.events
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && h[c+1].before(&h[c]) {
+				c++
+			}
+			if !h[c].before(&last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	k.events = h
+	return top
 }
 
 // At schedules fn to run in kernel context after virtual delay d. It may be
@@ -128,7 +193,7 @@ func (k *Kernel) At(d time.Duration, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	k.schedule(k.now+Time(d), fn)
+	k.schedule(k.now+Time(d), action{kind: actCall, fn: fn})
 }
 
 // Run executes events until the event queue is empty (which implies every
@@ -138,13 +203,16 @@ func (k *Kernel) At(d time.Duration, fn func()) {
 func (k *Kernel) Run(until Time) uint64 {
 	var fired uint64
 	for len(k.events) > 0 && !k.killing {
-		if k.events.peek().at > until {
+		if k.events[0].at > until {
 			if until > k.now {
 				k.now = until
 			}
 			return fired
 		}
-		ev := heap.Pop(&k.events).(event)
+		ev := k.pop()
+		a := k.actions[ev.slot]
+		k.actions[ev.slot] = action{} // drop references
+		k.free = append(k.free, ev.slot)
 		k.now = ev.at
 		k.eventsRun++
 		fired++
@@ -154,7 +222,14 @@ func (k *Kernel) Run(until Time) uint64 {
 			k.hash ^= ev.seq
 			k.hash *= 1099511628211
 		}
-		ev.fn()
+		switch a.kind {
+		case actWake:
+			k.resume(a.p)
+		case actDeliver:
+			k.deliver(a.src, a.p, a.sent, a.payload)
+		default:
+			a.fn()
+		}
 	}
 	return fired
 }
@@ -165,46 +240,62 @@ func (k *Kernel) Idle() bool { return len(k.events) == 0 }
 // Live reports how many spawned procs have not yet finished.
 func (k *Kernel) Live() int { return k.live }
 
-// Shutdown force-terminates every proc that is still blocked, releasing
-// their goroutines. It must be called from kernel context (i.e. not from
-// inside a proc). After Shutdown the kernel can still be inspected but no
-// further events run.
+// Shutdown force-terminates every unfinished proc, releasing its coroutine.
+// A blocked proc unwinds from the point where it parked; a proc that never
+// started is discarded without running its body. Shutdown must be called
+// from kernel context (i.e. not from inside a proc). After Shutdown the
+// kernel can still be inspected but no further events run.
 func (k *Kernel) Shutdown() {
 	k.killing = true
-	for _, p := range k.procs {
-		if !p.finished && p.started {
-			// Wake the proc; park() observes killing and panics with
-			// killSentinel, which the spawn wrapper recovers.
-			k.resume(p)
+	// Index loop: a proc unwinding here may still Spawn, and the new proc
+	// must be discarded too.
+	for i := 0; i < len(k.procs); i++ {
+		p := k.procs[i]
+		if p.finished {
+			continue
 		}
+		// A parked proc's yield returns false; park panics with
+		// killSentinel, which the proc's exit handler recovers.
+		p.stop()
+		if !p.started {
+			p.finished = true
+			k.live--
+		}
+		k.rethrow()
 	}
-	k.events = nil
+	k.events, k.actions, k.free = nil, nil, nil
 }
 
-// resume transfers control to p and blocks until p parks again or finishes.
-// If the proc's goroutine died with a panic, the panic is re-raised here, in
+// resume switches to p's coroutine and returns when p parks again or
+// finishes. If the proc died with a panic, the panic is re-raised here, in
 // kernel context.
 func (k *Kernel) resume(p *Proc) {
-	p.wake <- struct{}{}
-	<-k.parked
-	if k.fault != nil {
-		f := k.fault
+	p.next()
+	k.rethrow()
+}
+
+// rethrow re-raises a panic captured from a proc.
+func (k *Kernel) rethrow() {
+	if f := k.fault; f != nil {
 		k.fault = nil
 		panic(f)
 	}
 }
 
-type pairKey = uint64
-
-func mkPair(src, dst int32) pairKey { return uint64(uint32(src))<<32 | uint64(uint32(dst)) }
-
 // deliverAt computes the FIFO-respecting delivery time for a message from
 // src to dst wanted at time at, and records it.
-func (k *Kernel) deliverAt(src, dst int32, at Time) Time {
-	key := mkPair(src, dst)
-	if last, ok := k.fifoLast[key]; ok && at < last {
-		at = last
+func (k *Kernel) deliverAt(src, dst int, at Time) Time {
+	if src >= len(k.fifo) {
+		k.fifo = append(k.fifo, make([][]Time, src+1-len(k.fifo))...)
 	}
-	k.fifoLast[key] = at
+	row := k.fifo[src]
+	if dst >= len(row) {
+		row = append(row, make([]Time, max(dst+1, len(k.procs))-len(row))...)
+		k.fifo[src] = row
+	}
+	if at < row[dst] {
+		return row[dst]
+	}
+	row[dst] = at
 	return at
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -241,6 +242,28 @@ func TestShutdownReleasesBlockedProcs(t *testing.T) {
 	k.Shutdown()
 	if k.Live() != 0 {
 		t.Fatalf("after shutdown live = %d, want 0", k.Live())
+	}
+}
+
+// TestShutdownReleasesUnstartedProcs: procs spawned but never run are
+// released by Shutdown without ever running their bodies, and leave no
+// goroutine behind.
+func TestShutdownReleasesUnstartedProcs(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := New(1)
+	ran := 0
+	for i := 0; i < 5; i++ {
+		k.Spawn("never", func(p *Proc) { ran++ })
+	}
+	k.Shutdown()
+	if k.Live() != 0 {
+		t.Fatalf("after shutdown live = %d, want 0", k.Live())
+	}
+	if ran != 0 {
+		t.Fatalf("%d never-started proc bodies ran during shutdown", ran)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("goroutines: %d before the kernel, %d after shutdown", before, after)
 	}
 }
 
