@@ -7,8 +7,7 @@
 //	tm2c-bench -run fig5a
 //	tm2c-bench -run all -scale quick
 //	tm2c-bench -run fig8a,fig8b -scale full -csv
-//	tm2c-bench -run fig5a -serialrpc
-//	tm2c-bench -run ablbatch -coalesce
+//	tm2c-bench -run ablbatch -transport coalesce
 //	tm2c-bench -run ablplace -placement adaptive
 //	tm2c-bench -run ablro -readonly
 //	tm2c-bench -run abltl2 -scale quick
@@ -20,14 +19,11 @@
 // paper's parameters; tens of minutes), large (million-object working sets
 // on a 256-core mesh — the scale dimension of the scaleplace experiment).
 // Results print as aligned text
-// tables, or CSV with -csv. -serialrpc forces serial commit-time lock
-// acquisition (instead of scatter-gather) in every experiment, for A/B
-// comparisons; the ablrpc ablation compares the two modes directly.
-// -coalesce enables the coalescing message plane (per-destination wire
-// batching, Config.Coalesce) in every experiment; the ablbatch ablation
-// compares both planes directly. -adaptiveflush additionally defers
-// sub-threshold fire-and-forget envelopes until a size/age trigger fires
-// (implies -coalesce); ablbatch compares all three transport modes.
+// tables, or CSV with -csv. -transport raises the message plane of every
+// experiment to coalesce (per-destination wire batching of each burst) or
+// adaptive (coalescing that also defers sub-threshold fire-and-forget
+// envelopes until a size/age trigger fires), for A/B comparisons; the
+// ablbatch ablation compares all three transport modes directly.
 // -placement forces an object→DTM-node placement policy in every
 // experiment; the ablplace ablation compares the three policies directly.
 // -readonly runs every bank balance scan as a declared read-only
@@ -102,9 +98,7 @@ func main() {
 		scale      = flag.String("scale", "default", "quick | default | full | large")
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		seed       = flag.Uint64("seed", 1, "simulation seed")
-		serialRPC  = flag.Bool("serialrpc", false, "force serial (non-scatter-gather) commit lock acquisition in every experiment")
-		coalesce   = flag.Bool("coalesce", false, "enable the coalescing message plane (per-destination wire batching) in every experiment")
-		adaptiveF  = flag.Bool("adaptiveflush", false, "enable size/age-triggered adaptive outbox flush in every experiment (implies -coalesce)")
+		transportF = flag.String("transport", "", "raise every experiment's message plane to at least this transport (plain | coalesce | adaptive)")
 		placementF = flag.String("placement", "", "force a placement policy (hash | range | adaptive | hier) in every experiment")
 		readonly   = flag.Bool("readonly", false, "run every bank balance scan as a declared read-only transaction")
 		protocolF  = flag.String("protocol", "", "force a read-visibility protocol (visible | tl2) in every experiment")
@@ -131,10 +125,13 @@ func main() {
 	}
 
 	var ov exp.Overrides
-	ov.SerialRPC = *serialRPC
 	ov.ReadOnly = *readonly
-	ov.Coalesce = *coalesce
-	ov.AdaptiveFlush = *adaptiveF
+	transport, err := core.ParseTransport(*transportF)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tm2c-bench: %v\n", err)
+		os.Exit(2)
+	}
+	ov.Transport = transport
 	if *placementF != "" {
 		k, err := placement.Parse(*placementF)
 		if err != nil {

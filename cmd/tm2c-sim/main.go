@@ -44,9 +44,7 @@ func main() {
 		cmName   = flag.String("cm", "faircm", "none | backoff | offset-greedy | wholly | faircm")
 		deploy   = flag.String("deployment", "dedicated", "dedicated | multitask")
 		acquire  = flag.String("acquire", "lazy", "lazy | eager")
-		serial   = flag.Bool("serialrpc", false, "serial commit lock acquisition instead of scatter-gather")
-		coalesce = flag.Bool("coalesce", false, "coalescing message plane: same-destination payloads of one burst share a wire message")
-		adaptive = flag.Bool("adaptiveflush", false, "size/age-triggered adaptive outbox flush: defer sub-threshold fire-and-forget envelopes into the next burst (implies -coalesce)")
+		transF   = flag.String("transport", "plain", "message plane: plain (one wire message per payload) | coalesce (same-destination payloads of one burst share a wire message) | adaptive (coalesce, and defer sub-threshold fire-and-forget envelopes into the next burst)")
 		nobatch  = flag.Bool("nobatching", false, "disable per-node write-lock batching (one request per object; the ablbatch ablation's off arm)")
 		place    = flag.String("placement", "hash", "hash | range | adaptive | hier object→DTM-node placement")
 		epoch    = flag.Int("epoch", 0, "adaptive placement: lock accesses per repartition epoch (0 = default)")
@@ -95,6 +93,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	transport, err := repro.ParseTransport(*transF)
+	if err != nil {
+		fatal(err)
+	}
 	cfg := repro.Config{
 		Backend:          backend,
 		Protocol:         proto,
@@ -102,9 +104,7 @@ func main() {
 		TotalCores:       *cores,
 		ServiceCores:     *svc,
 		Policy:           pol,
-		SerialRPC:        *serial,
-		Coalesce:         *coalesce || *adaptive,
-		AdaptiveFlush:    *adaptive,
+		Transport:        transport,
 		NoBatching:       *nobatch,
 		Placement:        placeKind,
 		RepartitionEpoch: *epoch,

@@ -7,9 +7,10 @@ import (
 	"repro/internal/cm"
 	"repro/internal/mem"
 	"repro/internal/noc"
+	"repro/internal/sim"
 )
 
-// Adaptive outbox flush (Config.AdaptiveFlush) defers fire-and-forget
+// Adaptive outbox flush (TransportAdaptive) defers fire-and-forget
 // traffic below the platform's bytes-per-fixed-cost sweet spot so a later
 // burst to the same node shares the envelope. These tests pin the contract:
 // it only changes when staged payloads leave, never what the protocol
@@ -25,7 +26,7 @@ func adaptiveSystem(t *testing.T, seed uint64, mut func(*Config)) *System {
 		ServiceCores: 4,
 		Policy:       cm.FairCM,
 		NoBatching:   true, // several payloads per destination per burst
-		Coalesce:     true,
+		Transport:    TransportCoalesce,
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -37,26 +38,24 @@ func adaptiveSystem(t *testing.T, seed uint64, mut func(*Config)) *System {
 	return s
 }
 
+// TestAdaptiveFlushRequiresCoalesce: adaptive flush is a policy over
+// staged envelopes, so TransportAdaptive must stage bursts exactly like
+// TransportCoalesce does.
 func TestAdaptiveFlushRequiresCoalesce(t *testing.T) {
-	_, err := NewSystem(Config{
-		Platform:      noc.SCC(0),
-		Seed:          1,
-		TotalCores:    8,
-		AdaptiveFlush: true,
-	})
-	if err == nil {
-		t.Fatal("AdaptiveFlush without Coalesce must be rejected")
+	s := adaptiveSystem(t, 1, func(c *Config) { c.Transport = TransportAdaptive })
+	if !s.coalesce() {
+		t.Fatal("TransportAdaptive does not stage bursts in the outbox")
 	}
 }
 
 func TestAdaptiveFlushDefaultsFromPlatform(t *testing.T) {
-	s := adaptiveSystem(t, 1, func(c *Config) { c.AdaptiveFlush = true })
+	s := adaptiveSystem(t, 1, func(c *Config) { c.Transport = TransportAdaptive })
 	pl := s.cfg.Platform
-	if want := pl.FlushBytes(); s.cfg.FlushBytes != want {
-		t.Errorf("FlushBytes defaulted to %d, want platform sweet spot %d", s.cfg.FlushBytes, want)
+	if want := pl.FlushBytes(); s.flushBytes != want {
+		t.Errorf("size trigger is %d, want platform sweet spot %d", s.flushBytes, want)
 	}
-	if want := pl.FlushAge(); s.cfg.FlushAge != want {
-		t.Errorf("FlushAge defaulted to %v, want platform bound %v", s.cfg.FlushAge, want)
+	if want := sim.Time(pl.FlushAge()); s.flushAge != want {
+		t.Errorf("age trigger is %v, want platform bound %v", s.flushAge, want)
 	}
 }
 
@@ -104,7 +103,7 @@ func adaptiveDisjointRun(t *testing.T, seed uint64, mut func(*Config)) (*Stats, 
 func TestAdaptiveFlushOutcomeEquivalence(t *testing.T) {
 	for _, seed := range []uint64{1, 5, 9} {
 		plain, imgP := adaptiveDisjointRun(t, seed, nil)
-		adpt, imgA := adaptiveDisjointRun(t, seed, func(c *Config) { c.AdaptiveFlush = true })
+		adpt, imgA := adaptiveDisjointRun(t, seed, func(c *Config) { c.Transport = TransportAdaptive })
 		if plain.Commits != adpt.Commits || plain.Aborts != adpt.Aborts {
 			t.Errorf("seed %d: commits/aborts %d/%d adaptive vs %d/%d plain",
 				seed, adpt.Commits, adpt.Aborts, plain.Commits, plain.Aborts)
@@ -130,7 +129,7 @@ func TestAdaptiveFlushOutcomeEquivalence(t *testing.T) {
 // time and staged byte counts, never wall-clock state.
 func TestAdaptiveFlushDeterministic(t *testing.T) {
 	run := func() *Stats {
-		s := adaptiveSystem(t, 21, func(c *Config) { c.AdaptiveFlush = true })
+		s := adaptiveSystem(t, 21, func(c *Config) { c.Transport = TransportAdaptive })
 		const accounts = 24
 		base := s.Mem.Alloc(accounts, 0)
 		s.SpawnWorkers(func(rt *Runtime) {
@@ -156,20 +155,26 @@ func TestAdaptiveFlushDeterministic(t *testing.T) {
 	}
 }
 
-// TestAdaptiveFlushSizeTriggerDegenerates: with FlushBytes=1 every staged
-// entry satisfies the size trigger at every soft flush point, so the
-// adaptive plane must be BIT-IDENTICAL to the plain coalescing plane — same
-// emission order, same virtual instants, same wire message count. This pins
-// two properties at once: the size trigger emits whole entries in staged
-// order (a burst is never split or reordered), and turning adaptive off
-// loses nothing but the deferral.
+// TestAdaptiveFlushSizeTriggerDegenerates: on a platform whose
+// bytes-per-fixed-cost sweet spot is a single byte (per-byte cost equal to
+// the fixed per-message overhead), every staged entry satisfies the size
+// trigger at every soft flush point, so the adaptive plane must be
+// BIT-IDENTICAL to the plain coalescing plane — same emission order, same
+// virtual instants, same wire message count. This pins two properties at
+// once: the size trigger emits whole entries in staged order (a burst is
+// never split or reordered), and turning adaptive off loses nothing but the
+// deferral.
 func TestAdaptiveFlushSizeTriggerDegenerates(t *testing.T) {
+	pl := noc.SCC(0)
+	pl.PerByte = pl.SendOverhead + pl.RecvOverhead
+	if pl.FlushBytes() > 1 {
+		t.Fatalf("platform size trigger is %d bytes, want <= 1", pl.FlushBytes())
+	}
 	run := func(adaptive bool) *Stats {
 		s := adaptiveSystem(t, 13, func(c *Config) {
+			c.Platform = pl
 			if adaptive {
-				c.AdaptiveFlush = true
-				c.FlushBytes = 1
-				c.FlushAge = time.Hour // never the deciding trigger
+				c.Transport = TransportAdaptive
 			}
 		})
 		const accounts = 48
@@ -194,7 +199,7 @@ func TestAdaptiveFlushSizeTriggerDegenerates(t *testing.T) {
 	if off.Commits != on.Commits || off.Aborts != on.Aborts || off.Msgs != on.Msgs ||
 		off.MsgBytes != on.MsgBytes || off.WireMsgs != on.WireMsgs ||
 		off.CoalescedPayloads != on.CoalescedPayloads || off.Duration != on.Duration {
-		t.Fatalf("FlushBytes=1 adaptive run diverged from plain coalescing:\noff %+v\non  %+v", off, on)
+		t.Fatalf("size-trigger-1 adaptive run diverged from plain coalescing:\noff %+v\non  %+v", off, on)
 	}
 }
 
@@ -203,7 +208,7 @@ func TestAdaptiveFlushSizeTriggerDegenerates(t *testing.T) {
 // release is still staged). The run must drain with money conserved, no
 // leaked locks, and a clean serializability audit.
 func TestAdaptiveFlushContendedConserves(t *testing.T) {
-	s := adaptiveSystem(t, 3, func(c *Config) { c.AdaptiveFlush = true })
+	s := adaptiveSystem(t, 3, func(c *Config) { c.Transport = TransportAdaptive })
 	s.EnableAudit()
 	const accounts = 48
 	base := s.Mem.Alloc(accounts, 0)

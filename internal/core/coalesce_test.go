@@ -9,7 +9,7 @@ import (
 	"repro/internal/noc"
 )
 
-// The coalescing message plane (Config.Coalesce) must change how protocol
+// The coalescing message plane (TransportCoalesce) must change how protocol
 // payloads travel — fewer, fatter wire messages — without changing what the
 // protocol decides. These tests pin both halves: per-seed outcome
 // equivalence (commits, aborts, final memory, serializability audit) on a
@@ -21,7 +21,7 @@ import (
 // one request per object, which is exactly the multiplicity the transport
 // re-merges (the protocol-batching ablation grid in exp/ablations.go shows
 // the same effect at scale).
-func coalesceSystem(t *testing.T, seed uint64, coalesce bool) *System {
+func coalesceSystem(t *testing.T, seed uint64, tr Transport) *System {
 	t.Helper()
 	s, err := NewSystem(Config{
 		Platform:     noc.SCC(0),
@@ -30,7 +30,7 @@ func coalesceSystem(t *testing.T, seed uint64, coalesce bool) *System {
 		ServiceCores: 4,
 		Policy:       cm.FairCM,
 		NoBatching:   true,
-		Coalesce:     coalesce,
+		Transport:    tr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -43,9 +43,9 @@ func coalesceSystem(t *testing.T, seed uint64, coalesce bool) *System {
 // slice of the array, so the protocol outcome — commits, aborts, every
 // final memory word — is defined independently of message timing. Returns
 // the final memory image alongside the stats.
-func disjointRun(t *testing.T, seed uint64, coalesce bool) (*Stats, []uint64) {
+func disjointRun(t *testing.T, seed uint64, tr Transport) (*Stats, []uint64) {
 	t.Helper()
-	s := coalesceSystem(t, seed, coalesce)
+	s := coalesceSystem(t, seed, tr)
 	s.EnableAudit()
 	const perCore, rounds = 64, 12
 	n := s.NumAppCores()
@@ -64,10 +64,10 @@ func disjointRun(t *testing.T, seed uint64, coalesce bool) (*Stats, []uint64) {
 	})
 	st := s.RunToCompletion()
 	if err := s.CheckAudit(nil); err != nil {
-		t.Fatalf("audit failed (coalesce=%v, seed=%d): %v", coalesce, seed, err)
+		t.Fatalf("audit failed (transport=%v, seed=%d): %v", tr, seed, err)
 	}
 	if leaked := s.LockedAddrs(); leaked != 0 {
-		t.Fatalf("%d locks leaked (coalesce=%v, seed=%d)", leaked, coalesce, seed)
+		t.Fatalf("%d locks leaked (transport=%v, seed=%d)", leaked, tr, seed)
 	}
 	img := make([]uint64, n*perCore)
 	for i := range img {
@@ -84,8 +84,8 @@ func disjointRun(t *testing.T, seed uint64, coalesce bool) (*Stats, []uint64) {
 // refactor promises: only the wire format changed, not the protocol.
 func TestCoalesceOutcomeEquivalence(t *testing.T) {
 	for _, seed := range []uint64{1, 5, 9} {
-		off, imgOff := disjointRun(t, seed, false)
-		on, imgOn := disjointRun(t, seed, true)
+		off, imgOff := disjointRun(t, seed, TransportPlain)
+		on, imgOn := disjointRun(t, seed, TransportCoalesce)
 		if off.Commits != on.Commits || off.Aborts != on.Aborts {
 			t.Errorf("seed %d: commits/aborts %d/%d coalesced vs %d/%d uncoalesced",
 				seed, on.Commits, on.Aborts, off.Commits, off.Aborts)
@@ -119,8 +119,8 @@ func TestCoalesceOutcomeEquivalence(t *testing.T) {
 // of work, and every correctness invariant must hold: money conserved,
 // empty lock tables, clean serializability audit.
 func TestCoalesceContendedBankFewerWireMsgs(t *testing.T) {
-	run := func(coalesce bool) *Stats {
-		s := coalesceSystem(t, 3, coalesce)
+	run := func(tr Transport) *Stats {
+		s := coalesceSystem(t, 3, tr)
 		s.EnableAudit()
 		const accounts = 48
 		base := s.Mem.Alloc(accounts, 0)
@@ -144,21 +144,21 @@ func TestCoalesceContendedBankFewerWireMsgs(t *testing.T) {
 		})
 		st := s.RunToCompletion()
 		if err := s.CheckAudit(initial); err != nil {
-			t.Fatalf("audit failed (coalesce=%v): %v", coalesce, err)
+			t.Fatalf("audit failed (transport=%v): %v", tr, err)
 		}
 		if leaked := s.LockedAddrs(); leaked != 0 {
-			t.Fatalf("%d locks leaked (coalesce=%v)", leaked, coalesce)
+			t.Fatalf("%d locks leaked (transport=%v)", leaked, tr)
 		}
 		var total uint64
 		for i := 0; i < accounts; i++ {
 			total += s.Mem.ReadRaw(base + mem.Addr(i))
 		}
 		if want := uint64(accounts) * 100; total != want {
-			t.Fatalf("money not conserved (coalesce=%v): %d != %d", coalesce, total, want)
+			t.Fatalf("money not conserved (transport=%v): %d != %d", tr, total, want)
 		}
 		return st
 	}
-	off, on := run(false), run(true)
+	off, on := run(TransportPlain), run(TransportCoalesce)
 	if on.WireMsgs >= off.WireMsgs {
 		t.Errorf("contended bank: coalesced run sent %d wire messages, uncoalesced %d — want strictly fewer",
 			on.WireMsgs, off.WireMsgs)
@@ -179,7 +179,7 @@ func TestCoalesceMultitaskConserves(t *testing.T) {
 		Deployment: Multitask,
 		Policy:     cm.FairCM,
 		NoBatching: true,
-		Coalesce:   true,
+		Transport:  TransportCoalesce,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +223,7 @@ func TestCoalesceMultitaskConserves(t *testing.T) {
 // or other nondeterminism.
 func TestCoalesceDeterministic(t *testing.T) {
 	run := func() *Stats {
-		s := coalesceSystem(t, 21, true)
+		s := coalesceSystem(t, 21, TransportCoalesce)
 		const accounts = 24
 		base := s.Mem.Alloc(accounts, 0)
 		s.SpawnWorkers(func(rt *Runtime) {
@@ -260,7 +260,7 @@ func TestCoalesceEagerAndElastic(t *testing.T) {
 			ServiceCores: 2,
 			Policy:       cm.FairCM,
 			Acquire:      acq,
-			Coalesce:     true,
+			Transport:    TransportCoalesce,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -292,14 +292,14 @@ func TestCoalesceEagerAndElastic(t *testing.T) {
 // coalesced sim run is BIT-IDENTICAL to the uncoalesced run — not merely
 // outcome-equivalent.
 func TestCoalesceSingletonPlaneBitIdentical(t *testing.T) {
-	run := func(coalesce bool) *Stats {
+	run := func(tr Transport) *Stats {
 		s, err := NewSystem(Config{
 			Platform:     noc.SCC(0),
 			Seed:         13,
 			TotalCores:   12,
 			ServiceCores: 4,
 			Policy:       cm.FairCM,
-			Coalesce:     coalesce,
+			Transport:    tr,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -322,7 +322,7 @@ func TestCoalesceSingletonPlaneBitIdentical(t *testing.T) {
 		})
 		return s.Run(2 * time.Millisecond)
 	}
-	off, on := run(false), run(true)
+	off, on := run(TransportPlain), run(TransportCoalesce)
 	if off.Commits != on.Commits || off.Aborts != on.Aborts || off.Msgs != on.Msgs ||
 		off.MsgBytes != on.MsgBytes || off.Duration != on.Duration {
 		t.Fatalf("singleton-burst coalesced run diverged from uncoalesced:\noff %+v\non  %+v", off, on)

@@ -178,6 +178,61 @@ func (m AcquireMode) String() string {
 	return "lazy"
 }
 
+// Transport selects the message plane protocol payloads travel on.
+type Transport uint8
+
+const (
+	// TransportPlain (the default) sends every protocol payload as its own
+	// wire message: the bit-identical historic plane the figure
+	// fingerprints pin.
+	TransportPlain Transport = iota
+	// TransportCoalesce stages the payloads of one burst — a commit
+	// scatter, a release burst, the responses of one DTM dispatch — and
+	// sends those headed to the same destination as a single multi-payload
+	// wire message (port.Outbox → sim.Batch), charged the batched cost
+	// model (noc.BatchDelay: fixed software overheads once per wire
+	// message, marginal bytes per payload). Stats.WireMsgs and
+	// CoalescedPayloads quantify the effect; the ablbatch ablation compares
+	// the planes.
+	TransportCoalesce
+	// TransportAdaptive coalesces and upgrades the application cores'
+	// outbox from flush-at-burst-end to size/age-triggered emission: a
+	// release or early-release burst leaves a staged entry in place unless
+	// it already carries Platform.FlushBytes of payload or has waited
+	// Platform.FlushAge since its first payload, so releases from
+	// consecutive transactions headed to the same DTM node share a wire
+	// message across burst boundaries. Fire-and-forget traffic only —
+	// everything awaited (lock requests, responses, DTM node replies,
+	// barriers) still flushes at the burst end, and a held release is
+	// revocable (the lock-stealing path treats a finished attempt's lock
+	// as stale), so deferral can cost an enemy a retry but never a
+	// deadlock.
+	TransportAdaptive
+)
+
+func (t Transport) String() string {
+	switch t {
+	case TransportCoalesce:
+		return "coalesce"
+	case TransportAdaptive:
+		return "adaptive"
+	}
+	return "plain"
+}
+
+// ParseTransport parses a transport name (plain|coalesce|adaptive).
+func ParseTransport(s string) (Transport, error) {
+	switch s {
+	case "", "plain":
+		return TransportPlain, nil
+	case "coalesce":
+		return TransportCoalesce, nil
+	case "adaptive":
+		return TransportAdaptive, nil
+	}
+	return TransportPlain, fmt.Errorf("core: unknown transport %q (want plain|coalesce|adaptive)", s)
+}
+
 // TxKind selects the transactional model for a transaction (§6).
 type TxKind uint8
 
@@ -280,41 +335,9 @@ type Config struct {
 	// NoBatching disables write-lock batching (one message per object
 	// instead of one per DTM node) for the batching ablation.
 	NoBatching bool
-	// SerialRPC disables commit-time scatter-gather lock acquisition: the
-	// per-node write-lock batches of a lazy commit are sent one at a time,
-	// each awaiting its response before the next is sent (one round trip
-	// per responsible node, the pre-RPC-layer behavior), instead of all at
-	// once with a single gather phase. For the RPC ablation; releases stay
-	// fire-and-forget either way.
-	SerialRPC bool
-	// Coalesce enables the coalescing message plane: protocol payloads
-	// headed to the same destination within one burst — a commit scatter,
-	// a release burst, the responses of one DTM dispatch — leave as a
-	// single multi-payload wire message (port.Outbox → sim.Batch), charged
-	// the batched cost model (noc.BatchDelay: fixed software overheads
-	// once per wire message, marginal bytes per payload). Off by default:
-	// the uncoalesced plane is the bit-identical historic behavior the
-	// figure fingerprints pin. Stats.WireMsgs/CoalescedPayloads quantify
-	// the effect; the ablbatch ablation compares both planes.
-	Coalesce bool
-	// AdaptiveFlush upgrades the application cores' coalescing outbox from
-	// flush-at-burst-end to size/age-triggered emission: a release or
-	// early-release burst leaves a staged entry in place unless it already
-	// carries FlushBytes of payload or has waited FlushAge since its first
-	// payload, so releases from consecutive transactions headed to the same
-	// DTM node share a wire message across burst boundaries. Fire-and-forget
-	// traffic only — everything awaited (lock requests, responses, DTM node
-	// replies, barriers) still flushes at the burst end, and a held release
-	// is revocable (the lock-stealing path treats a finished attempt's lock
-	// as stale), so deferral can cost an enemy a retry but never a deadlock.
-	// Requires Coalesce; sim-visible knob, off by default (the pinned
-	// fingerprints run the plain coalescing plane).
-	AdaptiveFlush bool
-	// FlushBytes and FlushAge override the adaptive-flush triggers (defaults
-	// from the platform: Platform.FlushBytes/FlushAge). Ignored unless
-	// AdaptiveFlush is set.
-	FlushBytes int
-	FlushAge   time.Duration
+	// Transport selects the message plane: plain per-payload sends (the
+	// default), per-burst coalescing, or coalescing with adaptive flush.
+	Transport Transport
 	// LockGranule is the number of words covered by one lock stripe; it
 	// must be a power of two (default 1). Objects larger than the granule
 	// are locked by their base address.
@@ -367,6 +390,18 @@ func (c *Config) normalize() error {
 	}
 	if c.Protocol > ProtocolTL2 {
 		return fmt.Errorf("core: unknown protocol %d", c.Protocol)
+	}
+	if c.Deployment > Multitask {
+		return fmt.Errorf("core: unknown deployment %d", c.Deployment)
+	}
+	if c.Policy > cm.FairCM {
+		return fmt.Errorf("core: unknown contention manager %d", c.Policy)
+	}
+	if c.Acquire > Eager {
+		return fmt.Errorf("core: unknown acquire mode %d", c.Acquire)
+	}
+	if c.Transport > TransportAdaptive {
+		return fmt.Errorf("core: unknown transport %d", c.Transport)
 	}
 	if c.RPCDeadline < 0 {
 		return fmt.Errorf("core: negative RPCDeadline %v", c.RPCDeadline)
@@ -422,20 +457,6 @@ func (c *Config) normalize() error {
 				c.ServiceCores, c.TotalCores)
 		}
 	}
-	if c.AdaptiveFlush {
-		if !c.Coalesce {
-			return errors.New("core: AdaptiveFlush requires Coalesce (there is no outbox to govern without it)")
-		}
-		if c.FlushBytes == 0 {
-			c.FlushBytes = c.Platform.FlushBytes()
-		}
-		if c.FlushAge == 0 {
-			c.FlushAge = c.Platform.FlushAge()
-		}
-		if c.FlushBytes < 0 || c.FlushAge < 0 {
-			return fmt.Errorf("core: negative adaptive-flush trigger (bytes %d, age %v)", c.FlushBytes, c.FlushAge)
-		}
-	}
 	if c.LockGranule == 0 {
 		c.LockGranule = 1
 	}
@@ -488,8 +509,8 @@ type Stats struct {
 
 	// Message traffic. Msgs counts protocol payloads (the logical message
 	// plane); WireMsgs counts physical wire messages. Without coalescing
-	// they are equal. With Config.Coalesce, payloads staged for the same
-	// destination within one burst share a wire message, so WireMsgs <=
+	// they are equal. On a coalescing Transport, payloads staged for the
+	// same destination within one burst share a wire message, so WireMsgs <=
 	// Msgs and Msgs/WireMsgs is the average payloads per wire message.
 	// CoalescedPayloads counts the payloads that rode in multi-payload
 	// envelopes (0 when coalescing is off or never merged anything).
@@ -504,10 +525,11 @@ type Stats struct {
 	Responses         uint64
 
 	// CommitRoundTrips counts the awaited round-trip phases of commit-time
-	// write-lock acquisition: under SerialRPC one per per-node batch, under
-	// scatter-gather one per commit attempt with a non-empty write set
-	// (however many batches are in flight). Eager acquisition pays its round
-	// trips inside the write wrappers and contributes zero here.
+	// write-lock acquisition: scatter-gather sends every per-node batch at
+	// once, so it is one per commit attempt with a non-empty write set
+	// (however many batches are in flight), plus one per re-partitioned
+	// retry of stale-NACKed batches. Eager acquisition pays its round trips
+	// inside the write wrappers and contributes zero here.
 	CommitRoundTrips uint64
 
 	// DTM activity.
@@ -636,8 +658,8 @@ func (s *Stats) LoadImbalance() float64 {
 }
 
 // PayloadsPerWireMsg returns the average number of protocol payloads per
-// physical wire message: 1 when nothing coalesced, higher when
-// Config.Coalesce merged bursts. It returns 0 when no message was sent.
+// physical wire message: 1 when nothing coalesced, higher when a
+// coalescing Transport merged bursts. It returns 0 when no message was sent.
 func (s *Stats) PayloadsPerWireMsg() float64 {
 	if s.WireMsgs == 0 {
 		return 0

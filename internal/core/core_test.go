@@ -7,6 +7,7 @@ import (
 	"repro/internal/cm"
 	"repro/internal/mem"
 	"repro/internal/noc"
+	"repro/internal/placement"
 )
 
 // testSystem builds a small dedicated-deployment system.
@@ -39,6 +40,32 @@ func TestConfigValidation(t *testing.T) {
 	for i, cfg := range cases {
 		if _, err := NewSystem(cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted: %+v", i, cfg)
+		}
+	}
+}
+
+// TestConfigRejectsUnknownEnums: an enum value outside its declared range
+// matches none of the runtime's mode checks, so it would run a silently
+// wrong protocol (an unknown acquire mode takes no write locks at all).
+// NewSystem must reject every one.
+func TestConfigRejectsUnknownEnums(t *testing.T) {
+	cases := []struct {
+		field string
+		mut   func(*Config)
+	}{
+		{"Backend", func(c *Config) { c.Backend = BackendNet + 1 }},
+		{"Protocol", func(c *Config) { c.Protocol = ProtocolTL2 + 1 }},
+		{"Deployment", func(c *Config) { c.Deployment = Multitask + 1 }},
+		{"Policy", func(c *Config) { c.Policy = cm.FairCM + 1 }},
+		{"Acquire", func(c *Config) { c.Acquire = Eager + 1 }},
+		{"Transport", func(c *Config) { c.Transport = TransportAdaptive + 1 }},
+		{"Placement", func(c *Config) { c.Placement = placement.AdaptiveHier + 1 }},
+	}
+	for _, tc := range cases {
+		cfg := Config{TotalCores: 4}
+		tc.mut(&cfg)
+		if _, err := NewSystem(cfg); err == nil {
+			t.Errorf("%s: out-of-range value accepted", tc.field)
 		}
 	}
 }

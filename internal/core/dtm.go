@@ -46,16 +46,17 @@ type dtmNode struct {
 	// threaded per node, so one buffer serves every batch.
 	acqScratch []mem.Addr
 
-	// out is the node's coalescing outbox (Config.Coalesce): responses
-	// stage into it during a dispatch and flush when the mailbox is
-	// momentarily empty, so the grants/NACKs answering requests that
-	// arrived together (e.g. an unpacked commit-scatter envelope) share
-	// one wire message per requesting core. Unused when coalescing is off.
+	// out is the node's coalescing outbox (used on a coalescing
+	// Transport): responses stage into it during a dispatch and flush when
+	// the mailbox is momentarily empty, so the grants/NACKs answering
+	// requests that arrived together (e.g. an unpacked commit-scatter
+	// envelope) share one wire message per requesting core. Unused on
+	// TransportPlain.
 	out port.Outbox
 }
 
 // serveLoop is the dedicated-deployment service loop: receive, handle,
-// repeat. Under Config.Coalesce one dispatch serves the whole contiguous
+// repeat. On a coalescing Transport one dispatch serves the whole contiguous
 // burst queued from the SAME sender — exactly what an unpacked multi-payload
 // envelope leaves in the mailbox — before flushing the staged responses, so
 // the grants/NACKs answering one core's burst share a wire message. The
@@ -65,7 +66,7 @@ type dtmNode struct {
 // same instant the uncoalesced plane answers it. The port is reclaimed by
 // the backend at shutdown.
 func (n *dtmNode) serveLoop(p port.Port) {
-	if !n.s.cfg.Coalesce {
+	if !n.s.coalesce() {
 		for {
 			m := p.Recv()
 			n.handle(p, m)
@@ -405,7 +406,7 @@ func (n *dtmNode) respond(p port.Port, reply port.Port, replyCore int, resp *res
 		panic(fmt.Sprintf("core: dtm%d response with no reply proc", n.core))
 	}
 	n.shard.Responses++
-	if n.s.cfg.Coalesce {
+	if n.s.coalesce() {
 		n.out.Stage(reply, replyCore, resp, respBytes(resp), p.Now())
 		return
 	}

@@ -146,6 +146,10 @@ func (rt *Runtime) RunIrrevocable(fn func(*Irrevocable)) {
 	rt.s.Regs.SetStatusLocal(rt.core, id, mem.TxCommitting)
 	rt.proc.Advance(rt.s.compute(rt.s.cfg.Costs.TxBegin))
 
+	// Releases deferred by adaptive flush would keep a node's lock table
+	// non-empty, and a node grants its token only once the table drains:
+	// send them before blocking on the grants.
+	rt.flushOut()
 	// Acquire every node's token in ascending node order (global order =>
 	// no deadlock between two irrevocable transactions).
 	for ni := range rt.s.nodes {

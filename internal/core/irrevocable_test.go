@@ -35,6 +35,37 @@ func TestIrrevocableRunsExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestIrrevocableAfterDeferredRelease: under adaptive flush a committed
+// transaction's release can stay staged in the core's outbox, keeping its
+// lock in the node's table. A node grants its exclusivity token only once
+// the table drains, so RunIrrevocable must send those releases before it
+// waits on the tokens, or the core waits on its own staged message forever.
+func TestIrrevocableAfterDeferredRelease(t *testing.T) {
+	s := testSystem(t, func(c *Config) {
+		c.TotalCores = 4
+		c.ServiceCores = 2
+		c.Transport = TransportAdaptive
+	})
+	a := s.Mem.Alloc(1, 0)
+	s.SpawnWorkers(func(rt *Runtime) {
+		if rt.AppIndex() != 0 {
+			return
+		}
+		rt.Run(func(tx *Tx) { tx.Write(a, tx.Read(a)+1) })
+		rt.RunIrrevocable(func(ir *Irrevocable) { ir.Write(a, ir.Read(a)+1) })
+	})
+	st := s.RunToCompletion()
+	if st.Irrevocables != 1 {
+		t.Fatalf("Irrevocables = %d, want 1 (token wait never granted)", st.Irrevocables)
+	}
+	if got := s.Mem.ReadRaw(a); got != 2 {
+		t.Fatalf("a = %d, want 2", got)
+	}
+	if n := s.LockedAddrs(); n != 0 {
+		t.Fatalf("%d locks leaked", n)
+	}
+}
+
 func TestIrrevocableAtomicAgainstTransactions(t *testing.T) {
 	// Core 0 repeatedly runs an irrevocable read-modify-write over two
 	// words that must stay equal; other cores update the pair

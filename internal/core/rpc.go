@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/port"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -17,8 +16,7 @@ import (
 // that to scatter-gather its per-node write-lock batches: all batches are
 // sent in one burst and their responses awaited together, so a lazy commit
 // touching k DTM nodes pays one awaited round-trip phase instead of k
-// serial round trips (Config.SerialRPC restores the serial behavior for the
-// ablation).
+// serial round trips.
 //
 // Determinism: requests are sent in a deterministic order (first-use order
 // of the write set), responses are matched by ID and processed in send
@@ -79,12 +77,12 @@ func (rt *Runtime) sendToNode(ni int, msg wireMsg) {
 }
 
 // burstToNode queues one protocol message of a burst for DTM node ni:
-// staged in the core's outbox under Config.Coalesce (payloads sharing a
+// staged in the core's outbox on a coalescing Transport (payloads sharing a
 // destination node then share a wire message at the next flushOut), sent
 // directly otherwise. Burst sites call it unconditionally and follow with
 // flushOut, which is a no-op on the uncoalesced plane.
 func (rt *Runtime) burstToNode(ni int, msg wireMsg) {
-	if !rt.s.cfg.Coalesce {
+	if !rt.s.coalesce() {
 		rt.sendToNode(ni, msg)
 		return
 	}
@@ -104,22 +102,26 @@ func (rt *Runtime) flushOut() {
 // flushOutSoft ends a fire-and-forget burst (releases, early releases).
 // Without adaptive flushing it is a plain flushOut. With it, only the
 // entries that reached the platform's bytes-per-fixed-cost sweet spot
-// (Config.FlushBytes) or aged past Config.FlushAge leave now; the rest stay
-// staged so the NEXT burst to the same node — typically the following
+// (Platform.FlushBytes) or aged past Platform.FlushAge leave now; the rest
+// stay staged so the NEXT burst to the same node — typically the following
 // transaction's commit scatter — shares their envelope and its fixed wire
 // cost. Deferring a release is safe: a lock whose release is staged belongs
 // to a finished attempt, so any node that needs it revoked can do so
 // unilaterally through the requester's status register (abortEnemies), and
 // the age bound keeps the deferral from outliving the platform's fixed-cost
 // horizon even on an idle core (every subsequent soft flush re-checks it).
+// What a node cannot do unilaterally is drain its lock table, so every
+// place the core itself blocks on a drain or a rendezvous flushes the
+// outbox first: the exclusivity-token wait of RunIrrevocable (a node grants
+// the token only once its table is empty), Barrier, and the end of the
+// workload.
 func (rt *Runtime) flushOutSoft() {
-	if !rt.s.cfg.AdaptiveFlush {
+	if rt.s.cfg.Transport != TransportAdaptive {
 		rt.flushOut()
 		return
 	}
 	now := rt.proc.Now()
-	minBytes := rt.s.cfg.FlushBytes
-	maxAge := sim.Time(rt.s.cfg.FlushAge)
+	minBytes, maxAge := rt.s.flushBytes, rt.s.flushAge
 	rt.out.FlushMatching(func(e *port.OutEntry) bool {
 		return e.Bytes >= minBytes || now-e.First >= maxAge
 	}, func(e *port.OutEntry) {
@@ -195,26 +197,6 @@ func (rt *Runtime) resolve(key mem.Addr) (node int, epoch uint64) {
 	return node, epoch
 }
 
-// sendWriteLock sends one write-lock batch to node — all keys must map to
-// node under the resolution the batch was grouped with — and returns its
-// correlation ID without waiting. The request carries the directory epoch
-// captured when the batch was grouped, NOT the epoch at send time: a serial
-// commit awaits a full round trip between sends, so a migration can
-// complete after grouping, and a send-time stamp would let a stale batch
-// pass the receiver's current-epoch fast path at a node that no longer owns
-// all of its keys. The grouping-time stamp forces the authoritative per-key
-// ValidFor check whenever the directory changed since the batch was formed.
-// The caller has already recorded the accesses (once per logical
-// acquisition, not per resend).
-func (rt *Runtime) sendWriteLock(tx *Tx, node int, epoch uint64, keys []mem.Addr) uint64 {
-	req := rt.writeLockReq(tx, epoch, keys)
-	// Capture the correlation ID before the handoff: once sent, the node
-	// may consume and recycle the pooled request at any moment.
-	id := req.ReqID
-	rt.sendToNode(node, req)
-	return id
-}
-
 // writeLockReq builds one write-lock batch request with a fresh correlation
 // ID, counting it in the shard (the request will be transmitted exactly
 // once, sent directly or staged for a coalesced burst).
@@ -234,14 +216,6 @@ func (rt *Runtime) writeLockReq(tx *Tx, epoch uint64, keys []mem.Addr) *reqWrite
 	return req
 }
 
-// rpcWriteLock sends one batched write-lock request and waits for its
-// response (a single round trip; the serial-commit path). The caller
-// handles Stale responses — a batch grouped under a stale resolution must
-// be re-partitioned, not just resent.
-func (rt *Runtime) rpcWriteLock(tx *Tx, node int, epoch uint64, keys []mem.Addr) *respLock {
-	return rt.awaitOne(rt.sendWriteLock(tx, node, epoch, keys))
-}
-
 // rpcWriteLockEager acquires the write lock of a single key (eager mode),
 // retrying when a migration NACKs the request; like rpcReadLock, a NACK's
 // owner hint steers the retry without a fresh directory resolution.
@@ -250,7 +224,12 @@ func (rt *Runtime) rpcWriteLockEager(tx *Tx, key mem.Addr) *respLock {
 	node, epoch := rt.resolve(key)
 	for hop := 0; ; hop++ {
 		rt.eagerKey[0] = key
-		resp := rt.rpcWriteLock(tx, node, epoch, rt.eagerKey[:])
+		req := rt.writeLockReq(tx, epoch, rt.eagerKey[:])
+		// Capture the correlation ID before the handoff: once sent, the node
+		// may consume and recycle the pooled request at any moment.
+		id := req.ReqID
+		rt.sendToNode(node, req)
+		resp := rt.awaitOne(id)
 		if resp == nil {
 			rt.timeoutAbort(tx, nil, rt.eagerKey[:])
 		}
@@ -273,10 +252,11 @@ func (rt *Runtime) rpcWriteLockEager(tx *Tx, key mem.Addr) *respLock {
 
 // scatterWriteLocks sends every write-lock batch in one burst and gathers
 // all responses, stamping every request with the batches' shared grouping
-// epoch. Results are indexed by batch, in send order. Under Config.Coalesce
-// the burst goes through the outbox, so batches addressed to the same node
-// (the NoBatching ablation splits per object) share one wire message; the
-// flush marks the end of the scatter burst, before the gather phase blocks.
+// epoch. Results are indexed by batch, in send order. On a coalescing
+// Transport the burst goes through the outbox, so batches addressed to the
+// same node (the NoBatching ablation splits per object) share one wire
+// message; the flush marks the end of the scatter burst, before the gather
+// phase blocks.
 func (rt *Runtime) scatterWriteLocks(tx *Tx, epoch uint64, batches []nodeGroup) []*respLock {
 	scStart := rt.proc.Now()
 	rt.emit(trace.KPhaseBegin, tx.id, uint64(trace.PhaseScatter), 0, 0)
@@ -336,9 +316,9 @@ func (rt *Runtime) scatterWriteLocks(tx *Tx, epoch uint64, batches []nodeGroup) 
 
 // awaitOne blocks until the response with correlation ID id arrives — the
 // allocation-free fast path for the one-outstanding-request case (every
-// read lock, eager write locks, serial commits). It returns nil when the
-// per-RPC deadline expires (net backend only); the caller must then abort
-// via timeoutAbort with its awaited keys.
+// read lock, eager write locks). It returns nil when the per-RPC deadline
+// expires (net backend only); the caller must then abort via timeoutAbort
+// with its awaited keys.
 func (rt *Runtime) awaitOne(id uint64) *respLock {
 	rt.awaitIDs = append(rt.awaitIDs[:0], id)
 	for {

@@ -27,6 +27,11 @@ import (
 type System struct {
 	cfg Config
 
+	// flushBytes and flushAge are the adaptive-flush triggers
+	// (TransportAdaptive), read once from the platform at construction.
+	flushBytes int
+	flushAge   sim.Time
+
 	// K is the simulation kernel (nil on the live and net backends).
 	K *sim.Kernel
 	// eng runs the goroutine ports of the live and net backends (nil on
@@ -49,15 +54,14 @@ type System struct {
 
 	// CommitLatency aggregates the commit-phase latency of every committed
 	// transaction: from commit entry through lock acquisition, persist and
-	// the release burst. The rpc ablation (ablrpc) reads it to compare
-	// serial against scatter-gather lock acquisition. Valid after Run.
+	// the release burst. Valid after Run.
 	CommitLatency hist.Histogram
 
 	// Per-commit-phase latency breakdowns, populated like CommitLatency.
 	// ScatterLatency covers the scatter-gather commit's send burst (batch
 	// build through outbox flush), GatherLatency its response-await phase;
-	// both stay empty under SerialRPC, whose round trips have no distinct
-	// phases. RevalidateLatency covers the TL2 commit's read-set
+	// a commit whose stale-NACKed batches are re-partitioned observes one of
+	// each per phase. RevalidateLatency covers the TL2 commit's read-set
 	// revalidation (successful ones; a failed revalidation aborts the
 	// commit). Valid after Run.
 	ScatterLatency    hist.Histogram
@@ -113,8 +117,10 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 	s := &System{
-		cfg:   cfg,
-		isSvc: make(map[int]bool),
+		cfg:        cfg,
+		flushBytes: cfg.Platform.FlushBytes(),
+		flushAge:   sim.Time(cfg.Platform.FlushAge()),
+		isSvc:      make(map[int]bool),
 	}
 	if cfg.Backend == BackendSim {
 		s.K = sim.New(cfg.Seed)
@@ -241,6 +247,10 @@ func (s *System) Backend() Backend { return s.cfg.Backend }
 // Platform returns the system's timing model.
 func (s *System) Platform() *noc.Platform { return &s.cfg.Platform }
 
+// coalesce reports whether bursts stage in outboxes (TransportCoalesce and
+// TransportAdaptive) instead of leaving payload by payload.
+func (s *System) coalesce() bool { return s.cfg.Transport != TransportPlain }
+
 // NumAppCores returns the number of application cores.
 func (s *System) NumAppCores() int { return len(s.appCores) }
 
@@ -311,7 +321,7 @@ func (s *System) SpawnWorkers(worker func(rt *Runtime)) {
 				// Keep serving DTM requests after the workload finishes.
 				for {
 					m := p.Recv()
-					if s.cfg.Coalesce {
+					if s.coalesce() {
 						rt.node.dispatchBurst(p, m)
 					} else {
 						rt.node.handle(p, m)

@@ -48,10 +48,11 @@ type Runtime struct {
 	awaitPred    func(port.Msg) bool
 	deadlineRecv deadlineRecver
 
-	// out is the core's coalescing outbox (Config.Coalesce): burst sends —
-	// commit scatter, release bursts — stage into it and flush at the end
-	// of the burst, so payloads sharing a destination DTM node share one
-	// wire message. Unused (always empty) when coalescing is off.
+	// out is the core's coalescing outbox (used on a coalescing
+	// Transport): burst sends — commit scatter, release bursts — stage into
+	// it and flush at the end of the burst (or, under TransportAdaptive, at
+	// a size/age trigger), so payloads sharing a destination DTM node share
+	// one wire message. Unused (always empty) on TransportPlain.
 	out port.Outbox
 
 	// rvBuf is the reusable TL2 clock-snapshot buffer (tl2.go); only one
@@ -675,9 +676,8 @@ func (tx *Tx) writeBackLists() ([]mem.Addr, []uint64) {
 
 // acquireCommitLocks performs the lazy commit's write-lock acquisition: the
 // write set is partitioned into per-node batches (one per object under the
-// NoBatching ablation) and acquired either serially, one awaited round trip
-// per batch (SerialRPC), or scatter-gather — every batch sent at once, all
-// responses awaited in a single round-trip phase.
+// NoBatching ablation) and acquired scatter-gather: every batch sent at
+// once, all responses awaited in a single round-trip phase.
 //
 // Scatter-gather needs a two-phase rollback: when any node rejects its
 // batch, the batches that other nodes already granted are recorded in
@@ -696,12 +696,7 @@ func (tx *Tx) acquireCommitLocks() {
 	keys := tx.writeKeys()
 	rt.s.dir.Record(rt.cluster, keys...) // once per attempt; stale retries resend, not re-record
 	for hop := 0; ; hop++ {
-		var stale []mem.Addr
-		if rt.s.cfg.SerialRPC {
-			stale = tx.serialAcquire(keys)
-		} else {
-			stale = tx.scatterAcquire(keys)
-		}
+		stale := tx.scatterAcquire(keys)
 		if len(stale) == 0 {
 			return
 		}
@@ -710,43 +705,6 @@ func (tx *Tx) acquireCommitLocks() {
 		}
 		keys = stale
 	}
-}
-
-// serialAcquire acquires the keys' write locks one awaited round trip per
-// batch (the SerialRPC ablation), returning the keys whose batches were
-// NACKed for stale placement. A conflict rejection aborts immediately.
-// Every batch is stamped with the grouping-time epoch: a migration that
-// completes during an earlier batch's awaited round trip bumps the
-// directory epoch, so the later batches fail the receiver's fast path and
-// get the authoritative per-key check instead of a blind grant at a node
-// that no longer owns some of their keys.
-func (tx *Tx) serialAcquire(keys []mem.Addr) (stale []mem.Addr) {
-	rt := tx.rt
-	batches, epoch := tx.commitBatches(keys)
-	for _, b := range batches {
-		tx.checkAborted()
-		rt.shard.CommitRoundTrips++
-		resp := rt.rpcWriteLock(tx, b.node, epoch, b.addrs)
-		if resp == nil {
-			// Earlier batches are already in tx.wlocked; this one's grant
-			// state is unknown, so hand it to the release burst too.
-			rt.timeoutAbort(tx, nil, b.addrs)
-		}
-		switch {
-		case resp.OK:
-			tx.wlocked = append(tx.wlocked, b.addrs...)
-			tx.recordGrantVers(b.addrs, resp.Vers)
-			putRespLock(resp)
-		case resp.Stale:
-			stale = append(stale, b.addrs...)
-			putRespLock(resp)
-		default:
-			k := resp.Kind
-			putRespLock(resp)
-			panic(abortSignal{kind: k, hasKind: true, reason: trace.ReasonConflict})
-		}
-	}
-	return stale
 }
 
 // scatterAcquire sends every batch in one burst and gathers all responses
@@ -784,9 +742,13 @@ func (tx *Tx) scatterAcquire(keys []mem.Addr) (stale []mem.Addr) {
 // one per responsible DTM node in first-write order, or one per object
 // under the NoBatching ablation — and returns the directory epoch the
 // grouping was resolved at. Requests built from these batches must go to
-// the batch's node and carry that epoch, so a directory change between
-// grouping and send (or between serial sends) is always visible to the
-// receiver (see sendWriteLock). The epoch is read before any owner: a
+// the batch's node and carry that epoch, NOT the epoch at send time, so a
+// directory change between grouping and send is always visible to the
+// receiver: a send-time stamp would let a stale batch pass the receiver's
+// current-epoch fast path at a node that no longer owns all of its keys,
+// where the grouping-time stamp forces the authoritative per-key ValidFor
+// check. The caller has already recorded the accesses (once per logical
+// acquisition, not per resend). The epoch is read before any owner: a
 // handoff landing during the grouping then leaves the batches stamped
 // older than the directory, which sends the receiver to its authoritative
 // per-key check instead of its current-epoch fast path.

@@ -17,14 +17,13 @@ func init() {
 	register("ablbatch", "Ablation: message-plane coalescing x write-lock batching (scatter-write transactions)", ablBatch)
 	register("ablpoll", "Ablation: sensitivity to the per-peer polling cost (the Fig.8a mechanism)", ablPoll)
 	register("ablgran", "Ablation: lock granularity vs false conflicts (bank)", ablGran)
-	register("ablrpc", "Ablation: serial vs scatter-gather commit lock acquisition vs DTM node count", ablRPC)
 	register("ablplace", "Ablation: placement policy (hash/range/adaptive) across workload skew (bank)", ablPlace)
 }
 
 // ablBatch compares the two batching layers of the message plane on a
 // contended scatter-write workload: protocol-level write-lock batching
 // (§3.3, one request per responsible DTM node; Config.NoBatching disables
-// it) against transport-level coalescing (Config.Coalesce, port.Outbox:
+// it) against transport-level coalescing (TransportCoalesce, port.Outbox:
 // payloads sharing a destination within one burst share a wire message,
 // charged noc.BatchDelay's one-fixed-cost-per-envelope model). The headline
 // is the batching-off pair: coalescing re-merges the per-object requests
@@ -32,18 +31,17 @@ func init() {
 // protocol batching win without protocol knowledge. With protocol batching
 // on, every burst is already one payload per node and plain coalescing
 // finds little to merge — the planes compose, they do not stack. The third
-// transport mode, adaptive flush (Config.AdaptiveFlush), closes that gap:
+// transport mode, adaptive flush (TransportAdaptive), closes that gap:
 // fire-and-forget envelopes below the platform's bytes-per-fixed-cost
 // sweet spot are held back at soft flush points and merge into the next
 // burst to the same node, so coalescing pays off even when protocol
 // batching has already merged each burst.
 func ablBatch(sc Scale, ov Overrides) []*Table {
-	run := func(total, svc int, batching bool, mode string) *core.Stats {
+	run := func(total, svc int, batching bool, mode core.Transport) *core.Stats {
 		c := defaultSys(total)
 		c.svc = svc
 		c.batch = batching
-		c.coalesce = mode != "off"
-		c.adaptive = mode == "adaptive"
+		c.transport = mode
 		c.seed = sc.Seed
 		s := c.build(ov)
 		const words = 4096
@@ -67,6 +65,13 @@ func ablBatch(sc Scale, ov Overrides) []*Table {
 		}
 		return "off"
 	}
+	// The coalesce column keeps its off/on/adaptive labels: benchcheck and
+	// the committed BENCH_ablbatch artifacts key on them.
+	modeLabel := [...]string{
+		core.TransportPlain:    "off",
+		core.TransportCoalesce: "on",
+		core.TransportAdaptive: "adaptive",
+	}
 
 	grid := &Table{
 		ID:      "ablbatch",
@@ -74,9 +79,9 @@ func ablBatch(sc Scale, ov Overrides) []*Table {
 		Columns: []string{"batching", "coalesce", "ops/ms", "wire msgs", "wire/op", "payloads/wire", "write-lock msgs"},
 	}
 	for _, batching := range []bool{true, false} {
-		for _, mode := range []string{"off", "on", "adaptive"} {
+		for _, mode := range []core.Transport{core.TransportPlain, core.TransportCoalesce, core.TransportAdaptive} {
 			st := run(48, 12, batching, mode)
-			grid.AddRow(onOff(batching), mode, perMs(st.Ops, st.Duration),
+			grid.AddRow(onOff(batching), modeLabel[mode], perMs(st.Ops, st.Duration),
 				st.WireMsgs, ratio(float64(st.WireMsgs), float64(st.Ops)),
 				st.PayloadsPerWireMsg(), st.WriteLockReqs)
 		}
@@ -93,9 +98,9 @@ func ablBatch(sc Scale, ov Overrides) []*Table {
 		Columns: []string{"cores", "coalesce", "ops/ms", "wire msgs", "wire/op", "payloads/wire"},
 	}
 	for _, n := range sc.Cores {
-		for _, mode := range []string{"off", "on"} {
+		for _, mode := range []core.Transport{core.TransportPlain, core.TransportCoalesce} {
 			st := run(n, 0, false, mode)
-			scale.AddRow(n, mode, perMs(st.Ops, st.Duration),
+			scale.AddRow(n, modeLabel[mode], perMs(st.Ops, st.Duration),
 				st.WireMsgs, ratio(float64(st.WireMsgs), float64(st.Ops)),
 				st.PayloadsPerWireMsg())
 		}
@@ -125,54 +130,6 @@ func ablPoll(sc Scale, ov Overrides) []*Table {
 	}
 	t.Notes = append(t.Notes,
 		"the polling cost is the mechanism behind the SCC's latency degradation in Fig.8(a): removing it makes messaging — and TM2C — scale almost linearly")
-	return []*Table{t}
-}
-
-// ablRPC compares commit-time write-lock acquisition strategies as the
-// write set spreads over more DTM nodes: serial (one awaited round trip per
-// responsible node, Config.SerialRPC) against scatter-gather (all per-node
-// batches in flight at once, one awaited gather phase; the default).
-func ablRPC(sc Scale, ov Overrides) []*Table {
-	t := &Table{
-		ID:      "ablrpc",
-		Title:   "Commit RPC: serial vs scatter-gather lock acquisition, 8-object scatter writes, 16 app cores",
-		Columns: []string{"dtm nodes", "mode", "ops/ms", "awaited rt/commit", "mean commit latency"},
-	}
-	const words = 2048
-	for _, svc := range []int{2, 4, 8, 16} {
-		for _, serial := range []bool{true, false} {
-			c := defaultSys(16 + svc)
-			c.svc = svc
-			c.serialRPC = serial
-			c.seed = sc.Seed
-			s := c.build(ov)
-			arr := core.NewTArray(s, core.Uint64Codec(), words, 0)
-			s.SpawnWorkers(func(rt *core.Runtime) {
-				r := rt.Rand()
-				for !rt.Stopped() {
-					rt.Run(func(tx *core.Tx) {
-						for i := 0; i < 8; i++ {
-							arr.Set(tx, r.Intn(words), uint64(i))
-						}
-					})
-					rt.AddOps(1)
-				}
-			})
-			st := s.Run(sc.Duration)
-			mode := "scatter"
-			if serial {
-				mode = "serial"
-			}
-			rtPerCommit := 0.0
-			if st.Commits > 0 {
-				rtPerCommit = float64(st.CommitRoundTrips) / float64(st.Commits)
-			}
-			t.AddRow(svc, mode, perMs(st.Ops, st.Duration), rtPerCommit, s.CommitLatency.Mean().Duration())
-		}
-	}
-	t.Notes = append(t.Notes,
-		"a lazy commit touching k DTM nodes pays k serial round trips under SerialRPC but a single awaited gather phase under scatter-gather (correlation-tagged RPC, rpc.go)",
-		"rt/commit counts awaited commit-phase round-trip phases over committed transactions; aborted attempts contribute phases but no commits")
 	return []*Table{t}
 }
 

@@ -16,7 +16,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig5a", "fig5b", "fig5c", "fig5d",
 		"fig6a", "fig6b", "fig7a", "fig7b",
 		"fig8a", "fig8b", "fig8c", "fig8d",
-		"ablbatch", "ablpoll", "ablgran", "ablrpc", "ablplace", "ablro", "abltl2",
+		"ablbatch", "ablpoll", "ablgran", "ablplace", "ablro", "abltl2",
 		"extskip", "extirrev", "scaleplace",
 	}
 	ids := IDs()
@@ -137,26 +137,6 @@ func TestShapeFairCMThrottlesBalanceCore(t *testing.T) {
 	wholly, faircm := parse(t, row[1]), parse(t, row[3])
 	if faircm <= wholly {
 		t.Errorf("FairCM (%v) should beat Wholly (%v) with one balance core", faircm, wholly)
-	}
-}
-
-// TestShapeScatterGatherCutsRoundTrips checks the ablrpc headline: for lazy
-// write sets spanning several DTM nodes, scatter-gather awaits strictly
-// fewer commit-phase round trips per commit than serial acquisition, at
-// every DTM node count.
-func TestShapeScatterGatherCutsRoundTrips(t *testing.T) {
-	sc := Scale{Duration: 2 * time.Millisecond, SizeDiv: 8, Cores: []int{8}, Seed: 5}
-	tabs := ablRPC(sc, Overrides{})
-	rows := tabs[0].Rows // (serial, scatter) row pairs per node count
-	if len(rows) == 0 || len(rows)%2 != 0 {
-		t.Fatalf("ablrpc produced %d rows, want non-empty pairs", len(rows))
-	}
-	for i := 0; i+1 < len(rows); i += 2 {
-		serialRT, scatterRT := parse(t, rows[i][3]), parse(t, rows[i+1][3])
-		if scatterRT >= serialRT {
-			t.Errorf("%s dtm nodes: scatter rt/commit %v, serial %v: want strict reduction",
-				rows[i][0], scatterRT, serialRT)
-		}
 	}
 }
 

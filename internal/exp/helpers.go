@@ -17,12 +17,6 @@ import (
 // runs (e.g. live-backend runs racing sim runs in tests) cannot observe
 // each other's settings.
 type Overrides struct {
-	// SerialRPC forces serial (non-scatter-gather) commit-time lock
-	// acquisition — wired to the -serialrpc flag of cmd/tm2c-bench for
-	// A/B-ing any figure against the pre-RPC-layer behavior. The ablrpc
-	// ablation compares both modes itself; under the flag its scatter rows
-	// degenerate to serial.
-	SerialRPC bool
 	// Placement, when non-nil, overrides the placement policy — wired to
 	// the -placement flag for A/B-ing any figure across policies. The
 	// ablplace ablation compares the policies itself; under the flag its
@@ -33,19 +27,13 @@ type Overrides struct {
 	// -readonly flag for A/B-ing the bank figures against the read-only
 	// fast path. The ablro ablation compares both kinds itself.
 	ReadOnly bool
-	// Coalesce enables the coalescing message plane (Config.Coalesce) in
-	// every system an experiment builds — wired to the -coalesce flag for
-	// A/B-ing any figure against the batched transport. The ablbatch
-	// ablation compares both planes itself; under the flag its uncoalesced
-	// rows degenerate to coalesced ones.
-	Coalesce bool
-	// AdaptiveFlush enables size/age-triggered outbox emission
-	// (Config.AdaptiveFlush) in every system an experiment builds — wired
-	// to the -adaptiveflush flag. It implies Coalesce: adaptive flush is a
-	// policy over staged envelopes, so there is nothing for it to defer on
-	// the uncoalesced plane. The ablbatch ablation compares the three
-	// transport modes (off/on/adaptive) itself.
-	AdaptiveFlush bool
+	// Transport raises the message plane (Config.Transport) of every
+	// system an experiment builds to at least this mode — wired to the
+	// -transport flag for A/B-ing any figure against the coalescing or
+	// adaptive-flush plane. The ablbatch ablation compares the three modes
+	// itself; under the flag its rows below the forced mode degenerate to
+	// it.
+	Transport core.Transport
 	// Backend selects the execution backend every system runs on — wired
 	// to the -backend flag. On BackendLive durations are wall-clock and
 	// throughput columns read ops per wall millisecond. The fig8a
@@ -82,9 +70,7 @@ type sysConfig struct {
 	pol       cm.Policy
 	acq       core.AcquireMode
 	batch     bool // false disables write-lock batching
-	serialRPC bool // true disables commit-time scatter-gather
-	coalesce  bool // true enables the coalescing message plane
-	adaptive  bool // true enables adaptive outbox flush (implies coalesce)
+	transport core.Transport
 	gran      int
 	place     placement.Kind
 	repEpoch  int // adaptive placement epoch length (0 = default)
@@ -107,16 +93,11 @@ func (c sysConfig) build(ov Overrides) *core.System {
 		Policy:           c.pol,
 		Acquire:          c.acq,
 		NoBatching:       !c.batch,
-		SerialRPC:        c.serialRPC || ov.SerialRPC,
-		Coalesce:         c.coalesce || ov.Coalesce,
-		AdaptiveFlush:    c.adaptive || ov.AdaptiveFlush,
+		Transport:        max(c.transport, ov.Transport),
 		LockGranule:      c.gran,
 		Placement:        c.place,
 		RepartitionEpoch: c.repEpoch,
 		Protocol:         c.protocol,
-	}
-	if cfg.AdaptiveFlush {
-		cfg.Coalesce = true // adaptive flush is a policy over staged envelopes
 	}
 	if ov.Placement != nil {
 		cfg.Placement = *ov.Placement

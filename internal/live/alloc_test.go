@@ -23,14 +23,14 @@ import (
 // measureLiveAllocs runs the given per-transaction body on every app core
 // (disjoint key ranges) and returns the average heap allocations per
 // committed transaction over the measured window.
-func measureLiveAllocs(t *testing.T, proto core.Protocol, coalesce bool, slotsPerWorker int, body func(tx *core.Tx, a core.TArray[uint64], base, n int)) float64 {
+func measureLiveAllocs(t *testing.T, proto core.Protocol, tr core.Transport, slotsPerWorker int, body func(tx *core.Tx, a core.TArray[uint64], base, n int)) float64 {
 	t.Helper()
 	cfg := core.Config{
 		Backend:    core.BackendLive,
 		Seed:       7,
 		TotalCores: 8,
 		Policy:     cm.FairCM,
-		Coalesce:   coalesce,
+		Transport:  tr,
 		Protocol:   proto,
 	}
 	s, err := core.NewSystem(cfg)
@@ -105,8 +105,8 @@ func TestLiveCommitAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates on otherwise allocation-free paths")
 	}
-	bothPlanes(t, func(t *testing.T, coalesce bool) {
-		got := measureLiveAllocs(t, core.ProtocolVisible, coalesce, 2, transferBody)
+	eachPlane(t, func(t *testing.T, tr core.Transport) {
+		got := measureLiveAllocs(t, core.ProtocolVisible, tr, 2, transferBody)
 		t.Logf("visible commit: %.2f allocs/tx", got)
 		if got > liveAllocBudget {
 			t.Errorf("visible commit hot path allocates %.2f objects/tx, budget %.1f", got, liveAllocBudget)
@@ -118,8 +118,8 @@ func TestLiveTL2ReadAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates on otherwise allocation-free paths")
 	}
-	bothPlanes(t, func(t *testing.T, coalesce bool) {
-		got := measureLiveAllocs(t, core.ProtocolTL2, coalesce, 8, readMostlyBody)
+	eachPlane(t, func(t *testing.T, tr core.Transport) {
+		got := measureLiveAllocs(t, core.ProtocolTL2, tr, 8, readMostlyBody)
 		t.Logf("TL2 read-mostly commit: %.2f allocs/tx", got)
 		if got > liveAllocBudget {
 			t.Errorf("TL2 read-mostly hot path allocates %.2f objects/tx, budget %.1f", got, liveAllocBudget)

@@ -5,9 +5,10 @@
 // level, exactly as on real hardware: conservation laws, structural
 // integrity of the shared structures, and empty lock tables at quiesce.
 //
-// Every app runs once per message plane — the uncoalesced default and the
-// coalescing transport (Config.Coalesce) — so batch envelopes, the outbox
-// flush points and the per-sender DTM dispatch all race real goroutines.
+// Every app runs once per message plane (Config.Transport) — the
+// uncoalesced default, the coalescing transport and coalescing with
+// adaptive flush — so batch envelopes, the outbox flush points, deferred
+// releases and the per-sender DTM dispatch all race real goroutines.
 // The app tests additionally run once per read-visibility protocol: the
 // invisible-read TL2 mode's version-table reads, write-back markers, clock
 // ticks and commit-time revalidation race real goroutines too.
@@ -35,25 +36,26 @@ import (
 // is exercising real concurrency, not throughput.
 const liveWindow = 40 * time.Millisecond
 
-// bothPlanes runs body once per message plane, as subtests. Used by the
+// eachPlane runs body once per message plane, as subtests. Used by the
 // tests that are visible-protocol-only (irrevocability); app tests use
 // eachVariant to cover the protocols too.
-func bothPlanes(t *testing.T, body func(t *testing.T, coalesce bool)) {
-	t.Run("plain", func(t *testing.T) { body(t, false) })
-	t.Run("coalesce", func(t *testing.T) { body(t, true) })
+func eachPlane(t *testing.T, body func(t *testing.T, tr core.Transport)) {
+	for _, tr := range []core.Transport{core.TransportPlain, core.TransportCoalesce, core.TransportAdaptive} {
+		t.Run(tr.String(), func(t *testing.T) { body(t, tr) })
+	}
 }
 
 // eachVariant runs body once per message plane × read-visibility protocol.
-func eachVariant(t *testing.T, body func(t *testing.T, coalesce bool, proto core.Protocol)) {
-	bothPlanes(t, func(t *testing.T, coalesce bool) {
+func eachVariant(t *testing.T, body func(t *testing.T, tr core.Transport, proto core.Protocol)) {
+	eachPlane(t, func(t *testing.T, tr core.Transport) {
 		for _, proto := range []core.Protocol{core.ProtocolVisible, core.ProtocolTL2} {
 			proto := proto
-			t.Run(proto.String(), func(t *testing.T) { body(t, coalesce, proto) })
+			t.Run(proto.String(), func(t *testing.T) { body(t, tr, proto) })
 		}
 	})
 }
 
-func liveSystem(t *testing.T, coalesce bool, proto core.Protocol, mut func(*core.Config)) *core.System {
+func liveSystem(t *testing.T, tr core.Transport, proto core.Protocol, mut func(*core.Config)) *core.System {
 	t.Helper()
 	cfg := core.Config{
 		Backend:    core.BackendLive,
@@ -62,9 +64,9 @@ func liveSystem(t *testing.T, coalesce bool, proto core.Protocol, mut func(*core
 		// FairCM: starvation-free, so every in-flight transaction finishes
 		// and the post-deadline drain stays short (NoCM can livelock on
 		// hot keys — on live that is real spinning, not virtual time).
-		Policy:   cm.FairCM,
-		Coalesce: coalesce,
-		Protocol: proto,
+		Policy:    cm.FairCM,
+		Transport: tr,
+		Protocol:  proto,
 		// Every live app test runs with the flight recorder on, so the
 		// emit paths race real goroutines under -race in CI.
 		Trace: &trace.Options{ActorEvents: 1024},
@@ -97,8 +99,8 @@ func checkQuiesced(t *testing.T, s *core.System, st *core.Stats) {
 }
 
 func TestLiveBank(t *testing.T) {
-	eachVariant(t, func(t *testing.T, coalesce bool, proto core.Protocol) {
-		s := liveSystem(t, coalesce, proto, nil)
+	eachVariant(t, func(t *testing.T, tr core.Transport, proto core.Protocol) {
+		s := liveSystem(t, tr, proto, nil)
 		const accounts = 128
 		b := bank.New(s, accounts)
 		s.SpawnWorkers(b.TransferWorker(10))
@@ -113,8 +115,8 @@ func TestLiveBank(t *testing.T) {
 func TestLiveBankZipfAdaptive(t *testing.T) {
 	// Skewed writes against the adaptive directory: migrations, stale
 	// NACKs and handoffs all race real goroutines here.
-	eachVariant(t, func(t *testing.T, coalesce bool, proto core.Protocol) {
-		s := liveSystem(t, coalesce, proto, func(c *core.Config) {
+	eachVariant(t, func(t *testing.T, tr core.Transport, proto core.Protocol) {
+		s := liveSystem(t, tr, proto, func(c *core.Config) {
 			c.Placement = placement.Adaptive
 			c.RepartitionEpoch = 512
 		})
@@ -133,8 +135,8 @@ func TestLiveBankZipfAdaptive(t *testing.T) {
 }
 
 func TestLiveHashSet(t *testing.T) {
-	eachVariant(t, func(t *testing.T, coalesce bool, proto core.Protocol) {
-		s := liveSystem(t, coalesce, proto, nil)
+	eachVariant(t, func(t *testing.T, tr core.Transport, proto core.Protocol) {
+		s := liveSystem(t, tr, proto, nil)
 		set := hashset.New(s, 32)
 		r := sim.NewRand(11)
 		keys := set.InitFill(128, 512, &r)
@@ -158,8 +160,8 @@ func TestLiveIntSet(t *testing.T) {
 	for _, mode := range []intset.Mode{intset.Normal, intset.ElasticEarly, intset.ElasticRead} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
-			eachVariant(t, func(t *testing.T, coalesce bool, proto core.Protocol) {
-				s := liveSystem(t, coalesce, proto, nil)
+			eachVariant(t, func(t *testing.T, tr core.Transport, proto core.Protocol) {
+				s := liveSystem(t, tr, proto, nil)
 				l := intset.New(s)
 				r := sim.NewRand(13)
 				l.InitFill(96, 384, &r)
@@ -181,8 +183,8 @@ func TestLiveIntSet(t *testing.T) {
 }
 
 func TestLiveSkipList(t *testing.T) {
-	eachVariant(t, func(t *testing.T, coalesce bool, proto core.Protocol) {
-		s := liveSystem(t, coalesce, proto, nil)
+	eachVariant(t, func(t *testing.T, tr core.Transport, proto core.Protocol) {
+		s := liveSystem(t, tr, proto, nil)
 		l := skiplist.New(s)
 		r := sim.NewRand(17)
 		l.InitFill(96, 384, &r)
@@ -196,8 +198,8 @@ func TestLiveSkipList(t *testing.T) {
 }
 
 func TestLiveMapReduce(t *testing.T) {
-	eachVariant(t, func(t *testing.T, coalesce bool, proto core.Protocol) {
-		s := liveSystem(t, coalesce, proto, func(c *core.Config) { c.ServiceCores = 2 })
+	eachVariant(t, func(t *testing.T, tr core.Transport, proto core.Protocol) {
+		s := liveSystem(t, tr, proto, func(c *core.Config) { c.ServiceCores = 2 })
 		const size = 96 << 10
 		j := mapreduce.NewJob(s, 7, size, 8<<10)
 		s.SpawnWorkers(func(rt *core.Runtime) { j.Worker(rt) })
@@ -213,8 +215,8 @@ func TestLiveMapReduce(t *testing.T) {
 }
 
 func TestLiveMultitaskDeployment(t *testing.T) {
-	eachVariant(t, func(t *testing.T, coalesce bool, proto core.Protocol) {
-		s := liveSystem(t, coalesce, proto, func(c *core.Config) { c.Deployment = core.Multitask; c.TotalCores = 8 })
+	eachVariant(t, func(t *testing.T, tr core.Transport, proto core.Protocol) {
+		s := liveSystem(t, tr, proto, func(c *core.Config) { c.Deployment = core.Multitask; c.TotalCores = 8 })
 		b := bank.New(s, 64)
 		s.SpawnWorkers(b.TransferWorker(5))
 		st := s.Run(liveWindow)
@@ -230,7 +232,7 @@ func TestLiveMultitaskDeployment(t *testing.T) {
 // per-node envelopes by the outbox, with the per-sender DTM dispatch
 // coalescing the grants on the way back.
 func TestLiveCoalescedNoBatching(t *testing.T) {
-	s := liveSystem(t, true, core.ProtocolVisible, func(c *core.Config) { c.NoBatching = true; c.ServiceCores = 4 })
+	s := liveSystem(t, core.TransportCoalesce, core.ProtocolVisible, func(c *core.Config) { c.NoBatching = true; c.ServiceCores = 4 })
 	const accounts = 128
 	b := bank.New(s, accounts)
 	s.SpawnWorkers(b.TransferWorker(10))
@@ -250,7 +252,7 @@ func TestLiveCoalescedNoBatching(t *testing.T) {
 func TestLiveRawBaseline(t *testing.T) {
 	// SpawnRaw + global lock on the live backend: TAS mutual exclusion
 	// must hold under real concurrency.
-	s := liveSystem(t, false, core.ProtocolVisible, func(c *core.Config) { c.ServiceCores = -1; c.TotalCores = 8 })
+	s := liveSystem(t, core.TransportPlain, core.ProtocolVisible, func(c *core.Config) { c.ServiceCores = -1; c.TotalCores = 8 })
 	b := bank.New(s, 32)
 	l := bank.NewGlobalLock(s)
 	deadline := sim.Time(liveWindow)
@@ -275,8 +277,8 @@ func TestLiveBarrier(t *testing.T) {
 	// The §8 privatization barrier across really-concurrent workers: every
 	// core increments its slot transactionally, meets the barrier, then
 	// reads everyone else's slot directly (privatized by the barrier).
-	eachVariant(t, func(t *testing.T, coalesce bool, proto core.Protocol) {
-		s := liveSystem(t, coalesce, proto, func(c *core.Config) { c.TotalCores = 8 })
+	eachVariant(t, func(t *testing.T, tr core.Transport, proto core.Protocol) {
+		s := liveSystem(t, tr, proto, func(c *core.Config) { c.TotalCores = 8 })
 		n := s.NumAppCores()
 		slots := core.NewTArray(s, core.Uint64Codec(), n, 0)
 		s.SpawnWorkers(func(rt *core.Runtime) {
@@ -298,8 +300,8 @@ func TestLiveBarrier(t *testing.T) {
 // TestLiveIrrevocable stays on the visible protocol: irrevocability
 // requires it (RunIrrevocable panics under tl2).
 func TestLiveIrrevocable(t *testing.T) {
-	bothPlanes(t, func(t *testing.T, coalesce bool) {
-		s := liveSystem(t, coalesce, core.ProtocolVisible, func(c *core.Config) { c.TotalCores = 8 })
+	eachPlane(t, func(t *testing.T, tr core.Transport) {
+		s := liveSystem(t, tr, core.ProtocolVisible, func(c *core.Config) { c.TotalCores = 8 })
 		const accounts = 64
 		accts := core.NewTArray(s, core.Uint64Codec(), accounts, 1000)
 		s.SpawnWorkers(func(rt *core.Runtime) {

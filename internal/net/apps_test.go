@@ -148,15 +148,15 @@ var appNames = []string{"bank", "hashset", "intset", "skiplist", "mapreduce"}
 
 // netConfig is the shared per-rank Config: everything identical across
 // ranks except Net.Rank.
-func netConfig(rank, ranks int, addrs []string, coalesce bool) core.Config {
+func netConfig(rank, ranks int, addrs []string, tr core.Transport) core.Config {
 	return core.Config{
 		Backend:    core.BackendNet,
 		Seed:       7,
 		TotalCores: 8,
 		// FairCM: starvation-free, so the post-deadline drain stays short
 		// (see the live tests — on net, livelock would be real RPCs).
-		Policy:   cm.FairCM,
-		Coalesce: coalesce,
+		Policy:    cm.FairCM,
+		Transport: tr,
 		// The flight recorder stays on so every emit path runs per-process.
 		Trace: &trace.Options{ActorEvents: 1024},
 		Net:   &core.NetConfig{Ranks: ranks, Rank: rank, Addrs: addrs, Session: 0},
@@ -207,7 +207,7 @@ func runOneRank(app netApp, cfg core.Config) (st *core.Stats, check func() error
 // runRanks runs one workload across ranks engine replicas inside this
 // process (one goroutine per rank) and checks rank-0 invariants plus the
 // cross-rank agreement of the merged stats.
-func runRanks(t *testing.T, ranks int, name string, coalesce bool) {
+func runRanks(t *testing.T, ranks int, name string, tr core.Transport) {
 	t.Helper()
 	app, ok := netApps[name]
 	if !ok {
@@ -223,7 +223,7 @@ func runRanks(t *testing.T, ranks int, name string, coalesce bool) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cfg := netConfig(r, ranks, addrs, coalesce)
+			cfg := netConfig(r, ranks, addrs, tr)
 			if app.mut != nil {
 				app.mut(&cfg)
 			}
@@ -256,8 +256,9 @@ func TestNetApps(t *testing.T) {
 	for _, name := range appNames {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			t.Run("plain", func(t *testing.T) { runRanks(t, 2, name, false) })
-			t.Run("coalesce", func(t *testing.T) { runRanks(t, 2, name, true) })
+			for _, tr := range []core.Transport{core.TransportPlain, core.TransportCoalesce, core.TransportAdaptive} {
+				t.Run(tr.String(), func(t *testing.T) { runRanks(t, 2, name, tr) })
+			}
 		})
 	}
 }
@@ -265,7 +266,7 @@ func TestNetApps(t *testing.T) {
 // TestNetBankThreeRanks covers the many-link topology: rank 2 dials both
 // lower ranks, core→rank assignment is non-uniform (8 cores over 3 ranks).
 func TestNetBankThreeRanks(t *testing.T) {
-	runRanks(t, 3, "bank", true)
+	runRanks(t, 3, "bank", core.TransportCoalesce)
 }
 
 // TestNetBarrier runs the §8 privatization barrier across ranks: the
@@ -287,7 +288,7 @@ func TestNetBarrier(t *testing.T) {
 					errs[r] = fmt.Errorf("rank %d: panic: %v", r, p)
 				}
 			}()
-			cfg := netConfig(r, ranks, addrs, false)
+			cfg := netConfig(r, ranks, addrs, core.TransportPlain)
 			s, err := core.NewSystem(cfg)
 			if err != nil {
 				errs[r] = err
@@ -342,7 +343,7 @@ func TestNetIrrevocable(t *testing.T) {
 					errs[r] = fmt.Errorf("rank %d: panic: %v", r, p)
 				}
 			}()
-			cfg := netConfig(r, ranks, addrs, false)
+			cfg := netConfig(r, ranks, addrs, core.TransportPlain)
 			s, err := core.NewSystem(cfg)
 			if err != nil {
 				errs[r] = err
@@ -440,7 +441,11 @@ func helperMain(name string) int {
 		return 2
 	}
 	addrs := strings.Split(os.Getenv(envAddrs), ",")
-	cfg := netConfig(rank, ranks, addrs, os.Getenv(envCoalesce) == "1")
+	tr := core.TransportPlain
+	if os.Getenv(envCoalesce) == "1" {
+		tr = core.TransportCoalesce
+	}
+	cfg := netConfig(rank, ranks, addrs, tr)
 	if app.mut != nil {
 		app.mut(&cfg)
 	}
@@ -487,7 +492,7 @@ func TestNetOSProcesses(t *testing.T) {
 				t.Fatalf("fork rank 1: %v", err)
 			}
 			app := netApps[name]
-			cfg := netConfig(0, 2, addrs, true)
+			cfg := netConfig(0, 2, addrs, core.TransportCoalesce)
 			if app.mut != nil {
 				app.mut(&cfg)
 			}

@@ -24,7 +24,7 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden trace testdata")
 
 // goldenConfig is the pinned contended-bank run: few accounts on many cores
-// forces conflict aborts (the taxonomy coverage), NoBatching+Coalesce forces
+// forces conflict aborts (the taxonomy coverage), NoBatching+coalescing forces
 // multi-payload envelopes (the coalescing-visibility coverage).
 func goldenConfig(proto core.Protocol) core.Config {
 	return core.Config{
@@ -32,7 +32,7 @@ func goldenConfig(proto core.Protocol) core.Config {
 		Seed:       3,
 		TotalCores: 8,
 		Policy:     cm.FairCM,
-		Coalesce:   true,
+		Transport:  core.TransportCoalesce,
 		NoBatching: true,
 		Protocol:   proto,
 		Trace:      &trace.Options{ActorEvents: 1 << 15},

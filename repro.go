@@ -108,6 +108,9 @@ type (
 	// reads (per-read DTM round trips) or invisible-read TL2 (local reads
 	// against a sharded version clock, commit-time validation).
 	Protocol = core.Protocol
+	// Transport selects the message plane of a System: plain per-payload
+	// sends, per-burst coalescing, or coalescing with adaptive flush.
+	Transport = core.Transport
 	// Proc is a simulated process (the sim backend's Port implementation
 	// wraps it; advanced simulator-level tooling only).
 	Proc = sim.Proc
@@ -140,6 +143,17 @@ const (
 const (
 	ProtocolVisible = core.ProtocolVisible
 	ProtocolTL2     = core.ProtocolTL2
+)
+
+// Message planes. TransportPlain sends every protocol payload as its own
+// wire message; TransportCoalesce merges the same-destination payloads of
+// one burst into one wire message; TransportAdaptive also holds small
+// fire-and-forget envelopes back until a platform-derived size or age
+// trigger fires, so they merge into the next burst to the same node.
+const (
+	TransportPlain    = core.TransportPlain
+	TransportCoalesce = core.TransportCoalesce
+	TransportAdaptive = core.TransportAdaptive
 )
 
 // Write-lock acquisition modes (§3.3).
@@ -282,6 +296,10 @@ func ParseBackend(s string) (Backend, error) { return core.ParseBackend(s) }
 // ParseProtocol parses a read-visibility protocol name (visible|tl2; the
 // empty string is the visible default).
 func ParseProtocol(s string) (Protocol, error) { return core.ParseProtocol(s) }
+
+// ParseTransport parses a message-plane name (plain|coalesce|adaptive; the
+// empty string is the plain default).
+func ParseTransport(s string) (Transport, error) { return core.ParseTransport(s) }
 
 // NewRand returns a deterministic random source seeded from seed, suitable
 // for building workloads outside the simulated machine.
